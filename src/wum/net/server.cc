@@ -787,6 +787,17 @@ Status LogServer::AdminPatterns(Connection* conn, std::string_view args) {
     }
     operands[parsed++] = value;
   }
+  if (!quiesced_) {
+    // Consistency point: every byte producers delivered before this
+    // command is ingested, and every session those records closed has
+    // reached the miner.
+    WUM_RETURN_NOT_OK(DrainDataConnections());
+    const Status status = engine_->Quiesce();
+    if (!status.ok()) {
+      Reply(conn, "ERR " + status.message() + "\n");
+      return Status::OK();
+    }
+  }
   Reply(conn, mining->PatternsJson(static_cast<std::size_t>(operands[0]),
                                    static_cast<std::size_t>(operands[1])) +
                   "\n");
@@ -830,6 +841,17 @@ Status LogServer::HandleAdminLine(Connection* conn, std::string_view line) {
   return Status::OK();
 }
 
+Status LogServer::DrainDataConnections() {
+  for (auto& conn : connections_) {
+    if (conn->admin || conn->http) continue;
+    bool progress = true;
+    while (progress && !conn->closing) {
+      WUM_RETURN_NOT_OK(HandleReadable(conn.get(), &progress));
+    }
+  }
+  return Status::OK();
+}
+
 Status LogServer::DoQuiesce(std::string* detail) {
   if (quiesced_) {
     if (detail != nullptr) *detail = "already quiesced";
@@ -845,13 +867,10 @@ Status LogServer::DoQuiesce(std::string* detail) {
   // close. Bytes a still-live producer sends after its socket stops
   // being read are dropped by the close — identified clients recover
   // them through replay.
+  WUM_RETURN_NOT_OK(DrainDataConnections());
   for (auto& conn : connections_) {
+    // A connection the drain saw reach EOF already pumped its tail.
     if (conn->admin || conn->http || conn->closing) continue;
-    bool progress = true;
-    while (progress && !conn->closing) {
-      WUM_RETURN_NOT_OK(HandleReadable(conn.get(), &progress));
-    }
-    if (conn->closing) continue;  // EOF path already pumped the tail
     if (conn->awaiting_handshake && !conn->handshake_buffer.empty()) {
       // The producer never completed a line; treat the buffer as data.
       const std::string buffered = std::move(conn->handshake_buffer);

@@ -248,6 +248,10 @@ class LogServer {
   /// state.
   std::string StatuszJson();
   Status HandleReadable(Connection* conn, bool* made_progress = nullptr);
+  /// Ingests every byte the kernel already holds for each live data
+  /// connection (closing those at EOF), so a producer that finished
+  /// before an admin command arrived is covered by it.
+  Status DrainDataConnections();
   Status HandleData(Connection* conn, std::string_view bytes);
   Status HandleHandshakeBuffer(Connection* conn);
   Status PumpConnection(Connection* conn);

@@ -27,6 +27,7 @@ struct TraceRecorder::ThreadBuffer {
     std::atomic<double> dur_us{0.0};
     std::atomic<std::uint64_t> shard{0};
     std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> count{0};
     std::atomic<bool> instant{false};
   };
 
@@ -81,7 +82,7 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
 
 void TraceRecorder::Push(const char* name, double ts_us, double dur_us,
                          bool instant, std::uint64_t shard,
-                         std::uint64_t seq) {
+                         std::uint64_t seq, std::uint64_t count) {
   ThreadBuffer* buffer = BufferForThisThread();
   const std::uint64_t index =
       buffer->written.load(std::memory_order_relaxed);
@@ -92,6 +93,7 @@ void TraceRecorder::Push(const char* name, double ts_us, double dur_us,
   slot.dur_us.store(dur_us < 0.0 ? 0.0 : dur_us, std::memory_order_relaxed);
   slot.shard.store(shard, std::memory_order_relaxed);
   slot.seq.store(seq, std::memory_order_relaxed);
+  slot.count.store(count, std::memory_order_relaxed);
   slot.instant.store(instant, std::memory_order_relaxed);
   buffer->written.store(index + 1, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
@@ -128,6 +130,7 @@ std::vector<TraceEvent> TraceRecorder::Snapshot() const {
         event.instant = slot.instant.load(std::memory_order_relaxed);
         event.shard = slot.shard.load(std::memory_order_relaxed);
         event.seq = slot.seq.load(std::memory_order_relaxed);
+        event.count = slot.count.load(std::memory_order_relaxed);
         events.push_back(event);
       }
     }
@@ -167,7 +170,9 @@ std::string TraceRecorder::ChromeTraceJson() const {
     }
     out << "\"ts\":" << internal::RenderDouble(event.ts_us)
         << ",\"pid\":1,\"tid\":" << event.tid << ",\"args\":{\"shard\":"
-        << event.shard << ",\"seq\":" << event.seq << "}}";
+        << event.shard << ",\"seq\":" << event.seq;
+    if (event.count != 0) out << ",\"count\":" << event.count;
+    out << "}}";
     first = false;
   }
   out << "],\"displayTimeUnit\":\"ms\"}\n";

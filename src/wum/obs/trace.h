@@ -25,7 +25,8 @@
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing. Every event
 // carries `shard` and `seq` args identifying which shard processed the
 // record and the stage-specific sequence number (see
-// docs/observability.md for the stage → seq mapping).
+// docs/observability.md for the stage → seq mapping); spans of batched
+// stages add a `count` arg.
 
 #ifndef WUM_OBS_TRACE_H_
 #define WUM_OBS_TRACE_H_
@@ -62,6 +63,10 @@ struct TraceEvent {
   /// attempt number, checkpoint epoch — per-stage meaning documented in
   /// docs/observability.md).
   std::uint64_t seq = 0;
+  /// Items one span covers when its stage works in batches (the emit
+  /// span's session count); 0 when the stage has none, and then left
+  /// out of the exported args.
+  std::uint64_t count = 0;
 };
 
 /// Owns the per-thread ring buffers. Create one per run, hand
@@ -122,7 +127,7 @@ class TraceRecorder {
   ThreadBuffer* BufferForThisThread();
 
   void Push(const char* name, double ts_us, double dur_us, bool instant,
-            std::uint64_t shard, std::uint64_t seq);
+            std::uint64_t shard, std::uint64_t seq, std::uint64_t count);
 
   const std::size_t capacity_;
   const std::uint64_t id_;     // distinguishes recorders in thread caches
@@ -149,9 +154,11 @@ class Tracer {
   /// Records a completed span. `start_us` is absolute (internal::
   /// NowMicros timebase); the recorder rebases it onto its epoch.
   void RecordComplete(const char* name, double start_us, double dur_us,
-                      std::uint64_t shard, std::uint64_t seq) {
+                      std::uint64_t shard, std::uint64_t seq,
+                      std::uint64_t count = 0) {
     if (recorder_ == nullptr) return;
-    recorder_->Push(name, start_us, dur_us, /*instant=*/false, shard, seq);
+    recorder_->Push(name, start_us, dur_us, /*instant=*/false, shard, seq,
+                    count);
   }
 
   /// Records a zero-duration instant event stamped "now". Reads the
@@ -159,7 +166,7 @@ class Tracer {
   void Instant(const char* name, std::uint64_t shard, std::uint64_t seq) {
     if (recorder_ == nullptr) return;
     recorder_->Push(name, internal::NowMicros(), 0.0, /*instant=*/true,
-                    shard, seq);
+                    shard, seq, /*count=*/0);
   }
 
  private:
@@ -184,13 +191,15 @@ class ScopedSpan {
   ~ScopedSpan() {
     if (!tracer_.enabled()) return;
     tracer_.RecordComplete(name_, start_us_,
-                           internal::NowMicros() - start_us_, shard_, seq_);
+                           internal::NowMicros() - start_us_, shard_, seq_,
+                           count_);
   }
 
   /// Refine the span's identity after construction (e.g. once the
   /// target shard is known mid-scope).
   void set_shard(std::uint64_t shard) { shard_ = shard; }
   void set_seq(std::uint64_t seq) { seq_ = seq; }
+  void set_count(std::uint64_t count) { count_ = count; }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -200,6 +209,7 @@ class ScopedSpan {
   const char* name_;
   std::uint64_t shard_;
   std::uint64_t seq_;
+  std::uint64_t count_ = 0;
   double start_us_ = 0.0;
 };
 

@@ -63,32 +63,46 @@ std::string EngineStatsToString(const EngineStats& stats) {
          " shed=" + std::to_string(stats.records_shed);
 }
 
-/// Funnels every shard's emissions into the caller's sink one at a time.
-/// Under kFailFast the first failure is sticky and shared by every shard
-/// (every later emit — and the engine's Offer — returns it); under
-/// kDegrade nothing sticks here: each emission stands alone and the
-/// per-shard ShardEmit decides what a final failure means. When a shard
-/// has a RetryingSink the attempts (and their backoff waits) run inside
-/// the hub lock — when the shared sink is down, every shard is stalled
-/// on it anyway.
+/// Funnels every shard's emissions into the caller's sink. A shard
+/// hands over its whole buffer of closed sessions (see ShardEmit) and
+/// the hub delivers it in order under one hold of its lock, so the lock
+/// changes hands once per flush rather than once per session. Under
+/// kFailFast the first failure is sticky and shared by every shard: the
+/// rest of that flush, every later one and the engine's Offer all
+/// return it. Under kDegrade nothing sticks here: each session stands
+/// alone and the per-shard ShardEmit decides what a final failure
+/// means. When a shard has a RetryingSink its attempts (and their
+/// backoff waits) run per session inside the flush's hold — when the
+/// shared sink is down, every shard is stalled on it anyway.
 class StreamEngine::EmitHub {
  public:
+  /// One buffered session. `user_key` points into the shard
+  /// sessionizer's interner, whose strings never move, so buffering
+  /// copies no key.
+  struct Pending {
+    const std::string* user_key;
+    Session session;
+    std::uint64_t records;  // session.requests.size() before the move
+    Status status;          // the delivery outcome, set by Deliver
+  };
+
   EmitHub(SessionSink* sink, ErrorPolicy policy)
       : sink_(sink), policy_(policy) {}
 
-  Status Emit(const std::string& user_key, Session session,
-              RetryingSink* retrying) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (policy_ == ErrorPolicy::kFailFast && !first_error_.ok()) {
-      return first_error_;
-    }
+  void Deliver(std::span<Pending> pending, RetryingSink* retrying) {
     SessionSink* target =
         retrying != nullptr ? static_cast<SessionSink*>(retrying) : sink_;
-    Status status = target->Accept(user_key, std::move(session));
-    if (policy_ == ErrorPolicy::kFailFast && !status.ok()) {
-      first_error_ = status;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (Pending& entry : pending) {
+      if (!first_error_.ok()) {
+        entry.status = first_error_;
+        continue;
+      }
+      entry.status = target->Accept(*entry.user_key, std::move(entry.session));
+      if (policy_ == ErrorPolicy::kFailFast && !entry.status.ok()) {
+        first_error_ = entry.status;
+      }
     }
-    return status;
   }
 
   Status first_error() const {
@@ -103,17 +117,36 @@ class StreamEngine::EmitHub {
   Status first_error_;
 };
 
-/// Per-shard emission front: forwards to the hub (through the shard's
+/// Per-shard emission front: buffers the shard's closed sessions and
+/// hands them to the hub one buffer at a time (through the shard's
 /// RetryingSink when configured), keeps the delivery counters that back
 /// EngineStats::sessions_emitted, and — under kDegrade — turns a session
 /// the sink refused after every retry into a dead letter instead of an
-/// error, so the record path above never sees emission failures.
+/// error, so the record path above never sees emission failures. The
+/// buffer is flushed when it holds kFlushSessions sessions, at the end
+/// of every drained batch, and after the shard's Finish flush. Only the
+/// shard's worker touches it, and the producer once the worker joined.
 class StreamEngine::ShardEmit : public SessionSink {
  public:
-  ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
-      : engine_(engine), shard_(shard), delivered_mirror_(delivered_mirror) {}
+  /// Sessions buffered before a flush that does not wait for the end of
+  /// the batch; bounds the buffer when a Finish flush closes every open
+  /// session at once.
+  static constexpr std::size_t kFlushSessions = 256;
 
+  ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
+      : engine_(engine), shard_(shard), delivered_mirror_(delivered_mirror) {
+    buffer_.reserve(kFlushSessions);
+  }
+
+  /// Buffers the session; `user_key` must outlive the next Flush (the
+  /// shard sessionizer's interned keys do). Once a flush was refused
+  /// (kFailFast) returns that error, which kills the shard.
   Status Accept(const std::string& user_key, Session session) override;
+
+  /// Delivers the buffer under one hub hold and settles each session:
+  /// delivered, dead-lettered (kDegrade) or refused. Returns the sticky
+  /// refusal under kFailFast, OK otherwise.
+  Status Flush();
 
   /// Sessions successfully delivered to the caller's sink.
   std::uint64_t delivered_sessions() const {
@@ -141,6 +174,8 @@ class StreamEngine::ShardEmit : public SessionSink {
   StreamEngine* engine_;
   Shard* shard_;
   obs::Counter delivered_mirror_;
+  std::vector<EmitHub::Pending> buffer_;
+  Status refused_;  // first refusal under kFailFast; sticky
   std::atomic<std::uint64_t> delivered_sessions_{0};
   std::atomic<std::uint64_t> delivered_records_{0};
   std::atomic<std::uint64_t> quarantined_records_{0};
@@ -165,7 +200,7 @@ struct StreamEngine::Shard {
   // draining; 0 between batches and during the Finish flush, so stale
   // stamps never pollute the latency histogram. Written by the driver's
   // on_batch_start/on_batch_drained hooks (worker thread), read by
-  // ShardEmit::Accept — same thread while streaming, the producer
+  // ShardEmit::Flush — same thread while streaming, the producer
   // thread during Finish, hence the atomic.
   std::atomic<double> batch_accept_stamp_us{0.0};
   // Ingest-to-emit latency: batch accept at the engine's front door to
@@ -197,42 +232,59 @@ struct StreamEngine::Shard {
 
 Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
                                        Session session) {
-  const std::uint64_t covered =
-      static_cast<std::uint64_t>(session.requests.size());
-  Status status;
+  WUM_RETURN_NOT_OK(refused_);
+  const auto records = static_cast<std::uint64_t>(session.requests.size());
+  buffer_.push_back({&user_key, std::move(session), records, Status()});
+  if (buffer_.size() < kFlushSessions) return Status::OK();
+  return Flush();
+}
+
+Status StreamEngine::ShardEmit::Flush() {
+  if (buffer_.empty()) return refused_;
   {
-    // seq = sessions delivered by this shard before this one.
+    // seq = sessions delivered by this shard before this flush.
     obs::ScopedSpan span(engine_->tracer_, "emit", shard_->index,
                          delivered_sessions_.load(std::memory_order_relaxed));
-    status = engine_->emit_->Emit(user_key, std::move(session),
-                                  shard_->retrying.get());
+    span.set_count(buffer_.size());
+    engine_->emit_->Deliver(buffer_, shard_->retrying.get());
   }
-  if (status.ok()) {
-    delivered_sessions_.fetch_add(1, std::memory_order_relaxed);
-    delivered_records_.fetch_add(covered, std::memory_order_relaxed);
-    delivered_mirror_.Increment();
-    if (shard_->ingest_to_emit_latency_us.enabled()) {
-      const double stamp =
-          shard_->batch_accept_stamp_us.load(std::memory_order_relaxed);
-      if (stamp > 0.0) {
-        shard_->ingest_to_emit_latency_us.Observe(obs::internal::NowMicros() -
-                                                  stamp);
-      }
+  // Latency is observed at delivery against the batch's accept stamp;
+  // the Finish flush runs with the stamp zeroed and is left out.
+  const double stamp =
+      shard_->ingest_to_emit_latency_us.enabled()
+          ? shard_->batch_accept_stamp_us.load(std::memory_order_relaxed)
+          : 0.0;
+  const double latency_us =
+      stamp > 0.0 ? obs::internal::NowMicros() - stamp : 0.0;
+  std::uint64_t sessions = 0;
+  std::uint64_t records = 0;
+  for (EmitHub::Pending& entry : buffer_) {
+    if (entry.status.ok()) {
+      ++sessions;
+      records += entry.records;
+      if (stamp > 0.0) shard_->ingest_to_emit_latency_us.Observe(latency_us);
+      continue;
     }
-    return status;
+    if (engine_->error_policy_ == ErrorPolicy::kFailFast) {
+      if (refused_.ok()) refused_ = std::move(entry.status);
+      continue;
+    }
+    // kDegrade: the session is lost to the sink but not to accounting —
+    // quarantine a letter covering its records and keep the shard alive.
+    quarantined_records_.fetch_add(entry.records, std::memory_order_relaxed);
+    DeadLetter letter;
+    letter.stage = DeadLetter::Stage::kEmit;
+    letter.shard = shard_->index;
+    letter.reason = std::move(entry.status);
+    letter.detail = *entry.user_key;
+    letter.records_covered = entry.records;
+    engine_->Quarantine(*shard_, std::move(letter));
   }
-  if (engine_->error_policy_ == ErrorPolicy::kFailFast) return status;
-  // kDegrade: the session is lost to the sink but not to accounting —
-  // quarantine a letter covering its records and keep the shard alive.
-  quarantined_records_.fetch_add(covered, std::memory_order_relaxed);
-  DeadLetter letter;
-  letter.stage = DeadLetter::Stage::kEmit;
-  letter.shard = shard_->index;
-  letter.reason = std::move(status);
-  letter.detail = user_key;
-  letter.records_covered = covered;
-  engine_->Quarantine(*shard_, std::move(letter));
-  return Status::OK();
+  buffer_.clear();
+  delivered_sessions_.fetch_add(sessions, std::memory_order_relaxed);
+  delivered_records_.fetch_add(records, std::memory_order_relaxed);
+  delivered_mirror_.Increment(sessions);
+  return refused_;
 }
 
 Status EngineOptions::Validate() const {
@@ -492,6 +544,11 @@ void StreamEngine::StartWorkers() {
     DriverHooks hooks;
     Shard* recycle_shard = shard.get();
     hooks.on_batch_drained = [recycle_shard](RecordBatch&& batch) {
+      // Deliver the batch's sessions while its accept stamp is live and
+      // before the driver publishes the drained count, so a WaitIdle
+      // barrier sees them at the sink. A kFailFast refusal sticks in the
+      // hub and in the ShardEmit; the shard dies on its next session.
+      (void)recycle_shard->emit->Flush();
       // Also the end-of-batch mark for latency stamping: emissions from
       // here on (the next batch not yet started, or the Finish flush)
       // have no meaningful accept time.
@@ -711,6 +768,10 @@ Status StreamEngine::Finish() {
     // tearing the half-built engine down again.
     if (shard->driver == nullptr) continue;
     Status status = shard->driver->Finish();
+    // The driver's Finish flush only buffered the shard's last sessions;
+    // deliver them before the accounting below reads the counters.
+    Status flushed = shard->emit->Flush();
+    if (status.ok()) status = std::move(flushed);
     if (!status.ok()) {
       {
         std::lock_guard<std::mutex> lock(shard->health_mutex);
@@ -796,6 +857,26 @@ std::string IdentityName(UserIdentity identity) {
 
 }  // namespace
 
+Status StreamEngine::Quiesce() {
+  if (finished_) {
+    return Status::FailedPrecondition("engine already finished");
+  }
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    Status status = shard->driver->WaitIdle();
+    if (status.ok()) continue;
+    if (error_policy_ == ErrorPolicy::kFailFast) return status;
+    // kDegrade: the shard is dead but WaitIdle returned on the sticky
+    // error — its worker may still be discarding queued records through
+    // the quarantine hook. Wait for the queue to drain completely so
+    // every loss is in the dead-letter accounting.
+    shard->driver->WaitDrained();
+  }
+  // A batch-end flush can be refused without killing its shard (the
+  // shard dies on its next session), so the hub has the last word.
+  if (error_policy_ == ErrorPolicy::kFailFast) return emit_->first_error();
+  return Status::OK();
+}
+
 Status StreamEngine::Checkpoint(const std::string& dir,
                                 const SinkStateFn& sink_state_fn) {
   namespace fs = std::filesystem;
@@ -811,19 +892,10 @@ Status StreamEngine::Checkpoint(const std::string& dir,
   // seq = the epoch being committed; shard 0 stands in for "whole
   // engine" (the checkpoint spans every shard).
   obs::ScopedSpan span(tracer_, "checkpoint", 0, next_epoch_);
-  // Quiescence barrier: every record ever offered must be fully settled
-  // (processed, quarantined or discarded) before any state is read.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    Status status = shard->driver->WaitIdle();
-    if (status.ok()) continue;
-    if (error_policy_ == ErrorPolicy::kFailFast) return status;
-    // kDegrade: the shard is dead but WaitIdle returned on the sticky
-    // error — its worker may still be discarding queued records through
-    // the quarantine hook. Wait for the queue to drain completely so
-    // every loss is in the dead-letter accounting before the snapshot
-    // below reads it; the frozen sessionizer is then captured as-is.
-    shard->driver->WaitDrained();
-  }
+  // Every record ever offered must be fully settled before any state is
+  // read; under kDegrade a dead shard's frozen sessionizer is captured
+  // as-is.
+  WUM_RETURN_NOT_OK(Quiesce());
   std::string sink_state;
   if (sink_state_fn != nullptr) {
     WUM_ASSIGN_OR_RETURN(sink_state, sink_state_fn());

@@ -13,7 +13,9 @@
 // parallel — the per-user independence that "Link Based Session
 // Reconstruction" (Bayir & Toroslu) identifies as the natural
 // parallelism axis. Completed sessions funnel into the caller's single
-// SessionSink through a mutex-serialized emit path.
+// SessionSink through a mutex-serialized emit hub, which each shard
+// enters once per buffer of sessions (at the end of every drained
+// batch, or every 256 sessions), not once per session.
 //
 // Failure handling is policy-driven: under ErrorPolicy::kFailFast (the
 // default) the first error anywhere is sticky and stops the whole
@@ -415,6 +417,17 @@ class StreamEngine {
   /// every shard is at rest.
   Status Checkpoint(const std::string& dir,
                     const SinkStateFn& sink_state_fn = nullptr);
+
+  /// The engine's consistency point: blocks until every record offered
+  /// so far is settled (processed, quarantined or discarded) and every
+  /// session those records closed has reached the sink — each shard
+  /// flushes its emit buffer before it reports a batch drained. Under
+  /// kDegrade a dead shard is waited on until its queue is empty, so its
+  /// losses are in the dead-letter accounting. Checkpoint takes this
+  /// barrier; so does the daemon's PATTERNS query. Producer thread only,
+  /// like Offer. Returns the first error under kFailFast, and
+  /// FailedPrecondition after Finish.
+  Status Quiesce();
 
   /// Input records consumed by Offer so far — accepted, shed or
   /// quarantined, including resume-skipped replays. Producer thread

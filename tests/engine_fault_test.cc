@@ -1,8 +1,9 @@
 // End-to-end failure-domain tests for the sharded StreamEngine: a killed
 // shard stays isolated under ErrorPolicy::kDegrade (and stops the world
 // under kFailFast, same fault schedule), transient sink faults are
-// absorbed by set_retry, exhausted retries become kEmit dead letters,
-// and OfferPolicy::kShed sheds deterministically. Every scenario is
+// absorbed by set_retry, exhausted retries become kEmit dead letters
+// (each refused session of a batched hub flush on its own), and
+// OfferPolicy::kShed sheds deterministically. Every scenario is
 // driven by the deterministic fault harness — no wall clock, no races in
 // what the assertions observe.
 
@@ -347,6 +348,99 @@ TEST(EngineFaultTest, ExhaustedRetriesBecomeEmitDeadLetters) {
   for (const Status& health : (*engine)->ShardHealth()) {
     EXPECT_TRUE(health.ok());
   }
+}
+
+/// Record refs over `records`, for offering them as one batch.
+std::vector<LogRecordRef> ViewsOf(const std::vector<LogRecord>& records) {
+  std::vector<LogRecordRef> refs;
+  refs.reserve(records.size());
+  for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+  return refs;
+}
+
+// One batch of 10 single-page sessions reaches the hub as one flush, and
+// the sink fails on the 4th: under kFailFast the error sticks for the
+// rest of that flush, so exactly 3 sessions arrive, and the error
+// surfaces from the barrier, from Offer and from Finish.
+TEST(EngineFaultTest, FailFastSinkErrorMidFlushStopsTheShard) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink collected;
+  FlakySink flaky(&collected, FaultSchedule::AtIndices({3}));
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &flaky);
+  ASSERT_TRUE(engine.ok());
+  std::vector<LogRecord> records;
+  for (int i = 0; i < 10; ++i) records.push_back(PageRecord("u", 0, i * 10));
+  const std::vector<LogRecordRef> refs = ViewsOf(records);
+  ASSERT_TRUE((*engine)->OfferBatch(refs).ok());
+
+  EXPECT_TRUE((*engine)->Quiesce().IsIoError());
+  EXPECT_TRUE((*engine)->Offer(PageRecord("u", 0, 100)).IsIoError());
+  EXPECT_TRUE((*engine)->Finish().IsIoError());
+  ASSERT_EQ(collected.entries().size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(collected.entries()[i].session.requests[0].timestamp, i * 10);
+  }
+  EXPECT_EQ(flaky.failures(), 1u);
+  EXPECT_EQ((*engine)->TotalStats().sessions_emitted, 3u);
+}
+
+// Under kDegrade each session of a flush stands alone: the sink refuses
+// calls 2, 5 and 6 of a single 10-session flush, exactly those sessions
+// become kEmit letters, and nothing else is lost.
+TEST(EngineFaultTest, DegradeDeadLettersEachRefusedSessionOfAFlush) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink collected;
+  FlakySink flaky(&collected, FaultSchedule::AtIndices({2, 5, 6}));
+  DeadLetterQueue dead_letters;
+  obs::TraceRecorder recorder;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_error_policy(ErrorPolicy::kDegrade)
+          .set_dead_letters(&dead_letters)
+          .set_trace(&recorder)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &flaky);
+  ASSERT_TRUE(engine.ok());
+  std::vector<LogRecord> records;
+  for (int i = 0; i < 10; ++i) records.push_back(PageRecord("u", 0, i * 10));
+  const std::vector<LogRecordRef> refs = ViewsOf(records);
+  ASSERT_TRUE((*engine)->OfferBatch(refs).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  std::vector<TimeSeconds> delivered;
+  for (const auto& entry : collected.entries()) {
+    delivered.push_back(entry.session.requests[0].timestamp);
+  }
+  EXPECT_EQ(delivered, (std::vector<TimeSeconds>{0, 10, 30, 40, 70, 80, 90}));
+  std::vector<DeadLetter> letters = dead_letters.Drain();
+  ASSERT_EQ(letters.size(), 3u);
+  for (const DeadLetter& letter : letters) {
+    EXPECT_EQ(letter.stage, DeadLetter::Stage::kEmit);
+    EXPECT_TRUE(letter.reason.IsIoError());
+    EXPECT_EQ(letter.records_covered, 1u);
+    EXPECT_EQ(letter.detail, "u");
+  }
+  const EngineStats total = (*engine)->TotalStats();
+  EXPECT_EQ(total.sessions_emitted, 7u);
+  EXPECT_EQ(total.dead_letters, 3u);
+  EXPECT_EQ(EmittedRecords(collected) + dead_letters.records_covered(),
+            total.records_in);
+  EXPECT_TRUE((*engine)->ShardHealth()[0].ok());
+  // All ten went through the hub in one flush.
+  std::vector<obs::TraceEvent> flushes;
+  for (const obs::TraceEvent& event : recorder.Snapshot()) {
+    if (std::string(event.name) == "emit") flushes.push_back(event);
+  }
+  ASSERT_EQ(flushes.size(), 1u);
+  EXPECT_EQ(flushes[0].count, 10u);
+  EXPECT_EQ(flushes[0].seq, 0u);
 }
 
 /// Sessionizer that parks the worker on its first record until the test

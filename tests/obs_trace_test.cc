@@ -162,6 +162,10 @@ TEST(TraceRecorderTest, ChromeTraceJsonShapeAndFileExport) {
   g_clock_us.store(10);
   { ScopedSpan span(tracer, "stage \"a\"", 1, 2); }
   tracer.Instant("mark", 3, 4);
+  {
+    ScopedSpan span(tracer, "batched", 5, 6);
+    span.set_count(7);
+  }
   const std::string json = recorder.ChromeTraceJson();
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"ph\":\"M\",\"name\":\"thread_name\""),
@@ -170,6 +174,9 @@ TEST(TraceRecorderTest, ChromeTraceJsonShapeAndFileExport) {
   EXPECT_NE(json.find("\"ph\":\"i\",\"s\":\"t\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"shard\":1,\"seq\":2}"), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"shard\":3,\"seq\":4}"), std::string::npos);
+  // A batched span adds its item count; spans without one leave it out.
+  EXPECT_NE(json.find("\"args\":{\"shard\":5,\"seq\":6,\"count\":7}"),
+            std::string::npos);
   EXPECT_NE(json.find("stage \\\"a\\\""), std::string::npos);  // escaped
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 

@@ -1,17 +1,21 @@
 // StreamEngine lifecycle and failure semantics: option validation,
 // sharded stats accounting, identity-keyed sessionization, error
-// propagation (a sink failure stops every shard), and the
-// double-Finish / use-after-Finish guards.
+// propagation (a sink failure stops every shard), the batched emit
+// hub's flush cap and Quiesce consistency point, and the double-Finish /
+// use-after-Finish guards.
 
 #include "wum/stream/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <map>
 #include <set>
 
 #include "wum/clf/log_filter.h"
 #include "wum/obs/metrics.h"
+#include "wum/obs/trace.h"
 #include "wum/topology/site_generator.h"
 
 namespace wum {
@@ -36,6 +40,8 @@ class EmitEverySessionizer : public IncrementalUserSessionizer {
     return emit(std::move(session));
   }
   Status Flush(const EmitFn&) override { return Status::OK(); }
+  // Stateless, so a checkpoint has nothing to write for it.
+  Status SerializeState(ckpt::Encoder*) const override { return Status::OK(); }
 };
 
 /// Accepts `limit` sessions, then fails every call.
@@ -343,6 +349,87 @@ TEST(StreamEngineTest, DestructorFinishesWithoutExplicitFinish) {
     // No Finish(): the destructor must drain, flush and join cleanly.
   }
   EXPECT_EQ(sessions.entries().size(), 1u);
+}
+
+// One batch closing more sessions than a shard buffers (256) is
+// delivered in several hub flushes: every session arrives, each user's
+// in timestamp order, and no flush carries more than the cap.
+TEST(StreamEngineTest, BatchClosingMoreThanTheFlushCapDeliversAllInOrder) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  obs::TraceRecorder recorder;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_trace(&recorder)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  constexpr int kUsers = 4;
+  constexpr int kPerUser = 150;
+  std::vector<LogRecord> records;
+  for (int i = 0; i < kPerUser; ++i) {
+    for (int u = 0; u < kUsers; ++u) {
+      records.push_back(PageRecord("10.0.0." + std::to_string(u), 0, i));
+    }
+  }
+  std::vector<LogRecordRef> refs;
+  for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+  ASSERT_TRUE((*engine)->OfferBatch(refs).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  ASSERT_EQ(sessions.entries().size(), records.size());
+  std::map<std::string, std::vector<TimeSeconds>> per_user;
+  for (const auto& entry : sessions.entries()) {
+    per_user[entry.client_ip].push_back(entry.session.requests[0].timestamp);
+  }
+  ASSERT_EQ(per_user.size(), static_cast<std::size_t>(kUsers));
+  for (const auto& [user, stamps] : per_user) {
+    ASSERT_EQ(stamps.size(), static_cast<std::size_t>(kPerUser)) << user;
+    for (int i = 0; i < kPerUser; ++i) EXPECT_EQ(stamps[i], i) << user;
+  }
+  std::uint64_t flushed = 0;
+  std::size_t flushes = 0;
+  for (const obs::TraceEvent& event : recorder.Snapshot()) {
+    if (std::string(event.name) != "emit") continue;
+    EXPECT_LE(event.count, 256u);
+    EXPECT_EQ(event.seq, flushed);  // sessions delivered before it
+    flushed += event.count;
+    ++flushes;
+  }
+  EXPECT_EQ(flushed, records.size());
+  EXPECT_EQ(flushes, 3u);  // 256 + 256 + 88
+}
+
+// Quiesce (and Checkpoint, which takes it) is a consistency point for
+// the sink: once it returns, every session the offered records closed
+// has been delivered, without waiting for Finish.
+TEST(StreamEngineTest, SinkHoldsEveryClosedSessionAfterCheckpoint) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(2)
+          .set_num_pages(graph.num_pages())
+          .use_custom([] { return std::make_unique<EmitEverySessionizer>(); }),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "stream_engine_quiesce_ckpt")
+          .string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE((*engine)->Offer(PageRecord("u", 0, 0)).ok());
+  ASSERT_TRUE((*engine)->Checkpoint(dir).ok());
+  ASSERT_EQ(sessions.entries().size(), 1u);
+  EXPECT_EQ(sessions.entries()[0].client_ip, "u");
+  EXPECT_EQ((*engine)->TotalStats().sessions_emitted, 1u);
+  ASSERT_TRUE((*engine)->Offer(PageRecord("v", 1, 0)).ok());
+  ASSERT_TRUE((*engine)->Quiesce().ok());
+  EXPECT_EQ(sessions.entries().size(), 2u);
+  ASSERT_TRUE((*engine)->Finish().ok());
+  EXPECT_TRUE((*engine)->Quiesce().IsFailedPrecondition());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

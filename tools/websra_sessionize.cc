@@ -384,7 +384,6 @@ wum::Status Run(const wum_tools::Flags& flags) {
     if (!chunk.has_value()) break;
     parsed_refs.clear();
     WUM_RETURN_NOT_OK(parser.ParseChunk(*chunk, &parsed_refs));
-    records.reserve(records.size() + parsed_refs.size());
     for (const wum::LogRecordRef& ref : parsed_refs) {
       records.push_back(ref.Materialize());
     }
