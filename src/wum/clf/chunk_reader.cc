@@ -65,6 +65,7 @@ ChunkReader::ChunkReader(ChunkReader&& other) noexcept
       mapping_(std::exchange(other.mapping_, nullptr)),
       mapping_size_(std::exchange(other.mapping_size_, 0)),
       mapping_pos_(other.mapping_pos_),
+      released_(other.released_),
       file_(std::move(other.file_)),
       buffer_(std::move(other.buffer_)),
       carry_(std::move(other.carry_)),
@@ -81,6 +82,7 @@ ChunkReader& ChunkReader::operator=(ChunkReader&& other) noexcept {
   mapping_ = std::exchange(other.mapping_, nullptr);
   mapping_size_ = std::exchange(other.mapping_size_, 0);
   mapping_pos_ = other.mapping_pos_;
+  released_ = other.released_;
   file_ = std::move(other.file_);
   buffer_ = std::move(other.buffer_);
   carry_ = std::move(other.carry_);
@@ -102,6 +104,20 @@ std::optional<std::string_view> ChunkReader::Next() {
 }
 
 std::optional<std::string_view> ChunkReader::NextMapped() {
+#if WUM_CHUNK_READER_HAS_MMAP
+  // Drop the whole pages of earlier chunks from residency: one pass over
+  // a large log then holds about one chunk resident instead of the file.
+  // The mapping is private and never written, so the bytes stay readable
+  // and refault from the page cache if touched again.
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t done = mapping_pos_ / page * page;
+  if (done > released_) {
+    ::madvise(const_cast<char*>(mapping_) + released_, done - released_,
+              MADV_DONTNEED);
+    released_ = done;
+  }
+#endif
   if (mapping_pos_ >= mapping_size_) return std::nullopt;
   const std::string_view remaining(mapping_ + mapping_pos_,
                                    mapping_size_ - mapping_pos_);

@@ -44,8 +44,10 @@ class ChunkReader {
   /// longer than the configured chunk size is still returned whole.
   ///
   /// Lifetime: in buffered mode the view is invalidated by the next
-  /// Next() call; in mmap mode it lives until the reader is destroyed.
-  /// Callers that keep LogRecordRefs across chunks must Materialize().
+  /// Next() call; in mmap mode it lives until the reader is destroyed
+  /// (each Next() releases the pages of earlier chunks from residency,
+  /// but they stay readable). Callers that keep LogRecordRefs across
+  /// chunks must Materialize().
   std::optional<std::string_view> Next();
 
   /// True when the file is served from a memory mapping.
@@ -63,6 +65,7 @@ class ChunkReader {
   const char* mapping_ = nullptr;
   std::size_t mapping_size_ = 0;
   std::size_t mapping_pos_ = 0;
+  std::size_t released_ = 0;  // bytes of the mapping dropped from residency
 
   // Buffered fallback.
   std::ifstream file_;

@@ -37,14 +37,15 @@ bool MethodFilter::Keep(const LogRecord& record) const {
 }
 
 void RobotFilter::ObserveForRobots(const std::vector<LogRecord>& records) {
-  for (const LogRecord& record : records) {
-    if (record.url == "/robots.txt") {
-      auto it = std::lower_bound(robot_ips_.begin(), robot_ips_.end(),
-                                 record.client_ip);
-      if (it == robot_ips_.end() || *it != record.client_ip) {
-        robot_ips_.insert(it, record.client_ip);
-      }
-    }
+  for (const LogRecord& record : records) ObserveForRobots(ViewOf(record));
+}
+
+void RobotFilter::ObserveForRobots(const LogRecordRef& record) {
+  if (record.url != "/robots.txt") return;
+  auto it = std::lower_bound(robot_ips_.begin(), robot_ips_.end(),
+                             record.client_ip);
+  if (it == robot_ips_.end() || *it != record.client_ip) {
+    robot_ips_.insert(it, std::string(record.client_ip));
   }
 }
 

@@ -61,6 +61,10 @@ class RobotFilter : public LogFilter {
   /// Registers crawler IPs from a first pass over the log.
   void ObserveForRobots(const std::vector<LogRecord>& records);
 
+  /// One record of that first pass — for passes that stream the log
+  /// (ClfParser::ParseChunk refs) instead of materializing it.
+  void ObserveForRobots(const LogRecordRef& record);
+
  private:
   std::vector<std::string> robot_ips_;  // sorted
 };

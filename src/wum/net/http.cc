@@ -1,15 +1,7 @@
 #include "wum/net/http.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <utility>
-
-#include "wum/obs/exposition.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
-#include <unistd.h>
-#endif
 
 namespace wum::net {
 
@@ -123,92 +115,6 @@ Result<std::string> HttpGet(const std::string& host, std::uint16_t port,
                            " for " + target);
   }
   return std::move(response.body);
-}
-
-Result<std::unique_ptr<MetricsHttpServer>> MetricsHttpServer::Start(
-    const std::string& host, std::uint16_t port,
-    obs::MetricRegistry* registry) {
-  if (registry == nullptr) {
-    return Status::InvalidArgument("MetricsHttpServer: registry is null");
-  }
-  std::unique_ptr<MetricsHttpServer> server(new MetricsHttpServer());
-  WUM_ASSIGN_OR_RETURN(server->listener_, ListenTcp(host, port));
-  WUM_ASSIGN_OR_RETURN(server->port_, BoundPort(server->listener_));
-  WUM_ASSIGN_OR_RETURN(auto pipe, MakePipe());
-  server->stop_read_ = std::move(pipe.first);
-  server->stop_write_ = std::move(pipe.second);
-  server->registry_ = registry;
-  server->thread_ = std::thread([raw = server.get()] { raw->Run(); });
-  return server;
-}
-
-MetricsHttpServer::~MetricsHttpServer() {
-  if (thread_.joinable()) {
-#if defined(__unix__) || defined(__APPLE__)
-    // Plain write(2): the self-pipe is a pipe, not a socket, so
-    // WriteAll's send(2) would fail with ENOTSOCK and never wake Run.
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_write_.get(), &byte, 1);
-#endif
-    thread_.join();
-  }
-}
-
-void MetricsHttpServer::Run() {
-#if defined(__unix__) || defined(__APPLE__)
-  while (true) {
-    struct pollfd fds[2];
-    fds[0] = {listener_.get(), POLLIN, 0};
-    fds[1] = {stop_read_.get(), POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[1].revents & (POLLIN | POLLHUP)) != 0) return;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    Result<Fd> accepted = Accept(listener_);
-    if (!accepted.ok() || !accepted->valid()) continue;
-    Fd conn = std::move(*accepted);
-    // One connection at a time, bounded read: a scraper that dribbles
-    // its request slower than ~5s total is cut off.
-    std::string buffer;
-    char chunk[1024];
-    HttpRequest request;
-    HttpParseOutcome outcome = HttpParseOutcome::kNeedMore;
-    int waits_left = 50;
-    while (outcome == HttpParseOutcome::kNeedMore && waits_left-- > 0) {
-      struct pollfd conn_fd = {conn.get(), POLLIN, 0};
-      const int ready = ::poll(&conn_fd, 1, 100);
-      if (ready < 0 && errno != EINTR) break;
-      if (ready <= 0) continue;
-      Result<ReadResult> read = ReadSome(conn, chunk, sizeof(chunk));
-      if (!read.ok() || read->eof) break;
-      buffer.append(chunk, read->bytes);
-      outcome = ParseHttpRequest(buffer, &request);
-    }
-    std::string response;
-    if (outcome != HttpParseOutcome::kOk) {
-      const int code = outcome == HttpParseOutcome::kTooLarge ? 413
-                       : outcome == HttpParseOutcome::kBad    ? 400
-                                                              : 408;
-      response = RenderHttpResponse(code, "text/plain", "bad request\n");
-    } else if (request.method != "GET") {
-      response = RenderHttpResponse(400, "text/plain", "GET only\n");
-    } else if (request.target == "/metrics") {
-      response = RenderHttpResponse(
-          200, "text/plain; version=0.0.4",
-          obs::ToPrometheusText(registry_->Snapshot()));
-    } else if (request.target == "/healthz") {
-      response = RenderHttpResponse(200, "text/plain", "ok\n");
-    } else if (request.target == "/statusz") {
-      response = RenderHttpResponse(200, "application/json",
-                                    registry_->Snapshot().ToJsonLine() + "\n");
-    } else {
-      response = RenderHttpResponse(404, "text/plain", "not found\n");
-    }
-    [[maybe_unused]] const Status ignored = WriteAll(conn, response);
-  }
-#endif
 }
 
 }  // namespace wum::net

@@ -3,53 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "wum/ckpt/codec.h"
 #include "wum/obs/log.h"
-
-namespace wum::net {
-
-namespace {
-// sink_state layout: magic uvarint, journal state string, offset count,
-// then (client-id, offset) pairs. The magic guards against feeding a
-// websra_sessionize sink_state (a bare decimal length) to the server.
-constexpr std::uint64_t kServeSinkStateMagic = 0x53525645;  // "SRVE"
-}  // namespace
-
-std::string EncodeServeSinkState(std::string_view journal_state,
-                                 const ClientOffsets& offsets) {
-  ckpt::Encoder encoder;
-  encoder.PutUvarint(kServeSinkStateMagic);
-  encoder.PutString(journal_state);
-  encoder.PutUvarint(offsets.size());
-  for (const auto& [client_id, offset] : offsets) {
-    encoder.PutString(client_id);
-    encoder.PutUvarint(offset);
-  }
-  return encoder.Release();
-}
-
-Status DecodeServeSinkState(std::string_view encoded,
-                            std::string* journal_state,
-                            ClientOffsets* offsets) {
-  ckpt::Decoder decoder(encoded);
-  WUM_ASSIGN_OR_RETURN(const std::uint64_t magic, decoder.GetUvarint());
-  if (magic != kServeSinkStateMagic) {
-    return Status::ParseError(
-        "sink_state was not written by websra_serve (bad magic)");
-  }
-  WUM_ASSIGN_OR_RETURN(*journal_state, decoder.GetString());
-  WUM_ASSIGN_OR_RETURN(const std::uint64_t count, decoder.GetUvarint());
-  offsets->clear();
-  offsets->reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    WUM_ASSIGN_OR_RETURN(std::string client_id, decoder.GetString());
-    WUM_ASSIGN_OR_RETURN(const std::uint64_t offset, decoder.GetUvarint());
-    offsets->emplace_back(std::move(client_id), offset);
-  }
-  return decoder.ExpectEnd();
-}
-
-}  // namespace wum::net
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -201,7 +155,7 @@ Result<std::string> LogServer::ComposeSinkState() {
   if (options_.journal_state != nullptr) {
     WUM_ASSIGN_OR_RETURN(journal_state, options_.journal_state());
   }
-  return EncodeServeSinkState(journal_state, client_offsets_);
+  return ingest::EncodeSinkState(journal_state, client_offsets_);
 }
 
 std::uint64_t LogServer::OffsetFor(const std::string& client_id) const {

@@ -72,6 +72,7 @@
 #include "wum/common/result.h"
 #include "wum/ingest/byte_source.h"
 #include "wum/ingest/driver.h"
+#include "wum/ingest/session_output.h"
 #include "wum/net/quota.h"
 #include "wum/net/socket.h"
 #include "wum/net/timer_wheel.h"
@@ -82,19 +83,9 @@
 
 namespace wum::net {
 
-/// Durable per-client replay offsets: (client-id, bytes absorbed).
-/// Stored in the checkpoint manifest's sink_state and handed back to
-/// resuming clients as the HELLO skip-bytes reply.
-using ClientOffsets = std::vector<std::pair<std::string, std::uint64_t>>;
-
-/// sink_state codec for websra_serve checkpoints: the caller's journal
-/// state (committed journal length) plus the per-client offsets, in the
-/// ckpt wire format.
-std::string EncodeServeSinkState(std::string_view journal_state,
-                                 const ClientOffsets& offsets);
-Status DecodeServeSinkState(std::string_view encoded,
-                            std::string* journal_state,
-                            ClientOffsets* offsets);
+/// Per-client replay offsets, carried in the checkpoint sink_state
+/// (see wum/ingest/session_output.h for the codec).
+using ingest::ClientOffsets;
 
 /// Counters of one Serve() run; also mirrored as net.* metrics when a
 /// registry is attached.

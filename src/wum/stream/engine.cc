@@ -51,6 +51,12 @@ EngineOptions& EngineOptions::add_filter(FilterFactory factory) {
   });
 }
 
+EngineOptions& EngineOptions::add_standard_filters() {
+  return add_filter([] { return std::make_unique<MethodFilter>(); })
+      .add_filter([] { return std::make_unique<StatusFilter>(); })
+      .add_filter([] { return std::make_unique<ExtensionFilter>(); });
+}
+
 std::string EngineStatsToString(const EngineStats& stats) {
   return "records_in=" + std::to_string(stats.records_in) +
          " dropped=" + std::to_string(stats.records_dropped) +
@@ -423,10 +429,8 @@ void StreamEngine::RegisterScrapeProbe() {
                                 : obs::Gauge();
   obs::Gauge lag = registry_->GetGauge("engine.watermark_lag_seconds");
   obs::Gauge skew = registry_->GetGauge("engine.watermark_skew_seconds");
-  scrape_probe_id_ = registry_->AddProbe([shard_probes =
-                                              std::move(shard_probes),
-                                          mining, mining_depth, lag,
-                                          skew]() mutable {
+  refresh_gauges_ = [shard_probes = std::move(shard_probes), mining,
+                     mining_depth, lag, skew]() mutable {
     std::uint64_t min_watermark = 0;
     std::uint64_t max_watermark = 0;
     for (ShardProbe& probe : shard_probes) {
@@ -450,7 +454,8 @@ void StreamEngine::RegisterScrapeProbe() {
     const std::uint64_t now = obs::internal::NowEpochSeconds();
     lag.Set(now > min_watermark ? now - min_watermark : 0);
     skew.Set(max_watermark - min_watermark);
-  });
+  };
+  scrape_probe_id_ = registry_->AddProbe(refresh_gauges_);
 }
 
 StreamEngine::StreamEngine(EngineOptions options,
@@ -780,6 +785,10 @@ Status StreamEngine::Finish() {
       if (first_shard_error.ok()) first_shard_error = std::move(status);
     }
   }
+  // The probe only runs when someone scrapes, and the destructor removes
+  // it; refresh once here so a snapshot taken after Finish (a tool's
+  // --metrics-out) reports the final watermarks, not stale zeros.
+  if (refresh_gauges_) refresh_gauges_();
   if (error_policy_ == ErrorPolicy::kDegrade) {
     // A dead shard never flushed: records absorbed into its open
     // per-user session state were neither delivered nor quarantined yet.

@@ -228,6 +228,11 @@ class EngineOptions {
   /// Sugar for add_operator: wraps the filter in a FilterOperator.
   EngineOptions& add_filter(FilterFactory factory);
 
+  /// The conventional cleaning chain of FilterChain::Standard — method,
+  /// status, extension — as per-shard filters, so records are cleaned
+  /// inside the engine.
+  EngineOptions& add_standard_filters();
+
   /// Enables reactive top-k path mining (wum::mine): the engine wraps
   /// the caller's sink in a MiningSink so every delivered session also
   /// feeds one merged PathMiner, queryable any time through mining().
@@ -528,7 +533,9 @@ class StreamEngine {
   std::vector<RecordBatch> staging_;
   std::vector<std::size_t> staging_used_;
   bool finished_ = false;
-  /// Probe handle from RegisterScrapeProbe (0 = none registered).
+  /// The scrape-time gauge refresh and its probe handle from
+  /// RegisterScrapeProbe (empty / 0 = none registered).
+  std::function<void()> refresh_gauges_;
   std::size_t scrape_probe_id_ = 0;
 
   // Checkpoint/resume state. records_seen_ is producer-thread only.

@@ -640,8 +640,8 @@ TEST(NetChaosTest, ChaoticReplayAfterCrashConvergesToBaseline) {
 
     std::string committed_state;
     ClientOffsets offsets;
-    ASSERT_TRUE(DecodeServeSinkState((*resumed)->resumed_sink_state(),
-                                     &committed_state, &offsets)
+    ASSERT_TRUE(ingest::DecodeSinkState((*resumed)->resumed_sink_state(),
+                                        &committed_state, &offsets)
                     .ok());
     // Chaos never moved a checkpoint off a line boundary: the committed
     // offsets are exactly the complete-line prefixes that were sent.

@@ -1,6 +1,5 @@
 // The observability HTTP surface: request parsing and response
-// rendering units, the standalone MetricsHttpServer over a real socket,
-// and the LogServer's in-poll-loop scrape port — including the hostile
+// rendering units and the LogServer's in-poll-loop scrape port — including the hostile
 // cases (partial request completing later, oversized head answered 413,
 // slow loris reaped 408 by the timer wheel) and the /healthz 503 paths
 // (dead-letter saturation, stale checkpoint).
@@ -119,71 +118,6 @@ std::string RawRequest(std::uint16_t port, const std::string& bytes) {
 }
 
 // ---------------------------------------------------------------------
-// MetricsHttpServer (the standalone scrape endpoint).
-
-TEST(MetricsHttpServerTest, ServesMetricsHealthzStatuszAndNotFound) {
-  if (!NetworkingAvailable()) GTEST_SKIP() << "no POSIX sockets";
-  obs::MetricRegistry registry;
-  registry.GetCounter("test.requests").Increment(5);
-  Result<std::unique_ptr<MetricsHttpServer>> server =
-      MetricsHttpServer::Start("127.0.0.1", 0, &registry);
-  ASSERT_TRUE(server.ok()) << server.status().message();
-  ASSERT_NE((*server)->port(), 0);
-
-  Result<HttpResponse> metrics =
-      HttpFetch("127.0.0.1", (*server)->port(), "/metrics");
-  ASSERT_TRUE(metrics.ok()) << metrics.status().message();
-  EXPECT_EQ(metrics->status_code, 200);
-  EXPECT_NE(metrics->body.find("wum_test_requests 5\n"), std::string::npos)
-      << metrics->body;
-  EXPECT_TRUE(obs::LintExposition(metrics->body).ok());
-
-  Result<HttpResponse> healthz =
-      HttpFetch("127.0.0.1", (*server)->port(), "/healthz");
-  ASSERT_TRUE(healthz.ok());
-  EXPECT_EQ(healthz->status_code, 200);
-  EXPECT_EQ(healthz->body, "ok\n");
-
-  Result<HttpResponse> statusz =
-      HttpFetch("127.0.0.1", (*server)->port(), "/statusz");
-  ASSERT_TRUE(statusz.ok());
-  EXPECT_EQ(statusz->status_code, 200);
-  EXPECT_EQ(statusz->body.front(), '{') << statusz->body;
-
-  Result<HttpResponse> missing =
-      HttpFetch("127.0.0.1", (*server)->port(), "/nope");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing->status_code, 404);
-
-  // HttpGet insists on 200: a 404 is an error, a 200 is the body.
-  EXPECT_FALSE(HttpGet("127.0.0.1", (*server)->port(), "/nope").ok());
-  Result<std::string> body =
-      HttpGet("127.0.0.1", (*server)->port(), "/healthz");
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(*body, "ok\n");
-}
-
-TEST(MetricsHttpServerTest, NonGetAndMalformedAnswered400) {
-  if (!NetworkingAvailable()) GTEST_SKIP() << "no POSIX sockets";
-  obs::MetricRegistry registry;
-  Result<std::unique_ptr<MetricsHttpServer>> server =
-      MetricsHttpServer::Start("127.0.0.1", 0, &registry);
-  ASSERT_TRUE(server.ok());
-  EXPECT_NE(RawRequest((*server)->port(), "POST /metrics HTTP/1.1\r\n\r\n")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-  EXPECT_NE(RawRequest((*server)->port(), "NOSPACES\r\n\r\n")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-}
-
-TEST(MetricsHttpServerTest, NullRegistryRefused) {
-  EXPECT_TRUE(MetricsHttpServer::Start("127.0.0.1", 0, nullptr)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-// ---------------------------------------------------------------------
 // LogServer HTTP port.
 
 Result<std::string> ReadLine(const Fd& socket) {
@@ -291,6 +225,18 @@ TEST(LogServerHttpTest, ServesAllThreeEndpointsFromThePollLoop) {
   Result<HttpResponse> missing = HttpFetch("127.0.0.1", http, "/nope");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status_code, 404);
+
+  // HttpGet insists on 200: a 404 is an error, a 200 is the body.
+  EXPECT_FALSE(HttpGet("127.0.0.1", http, "/nope").ok());
+  Result<std::string> body = HttpGet("127.0.0.1", http, "/healthz");
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, "ok\n");
+
+  EXPECT_NE(RawRequest(http, "POST /metrics HTTP/1.1\r\n\r\n")
+                .find("HTTP/1.1 400"),
+            std::string::npos);
+  EXPECT_NE(RawRequest(http, "NOSPACES\r\n\r\n").find("HTTP/1.1 400"),
+            std::string::npos);
 
   // STATS JSON over the admin port is byte-identical to the /statusz
   // body (one line, fixed key order).

@@ -201,14 +201,14 @@ struct Harness {
 };
 
 // ---------------------------------------------------------------------
-// Sink-state codec.
+// Sink-state codec (wum/ingest/session_output.h), as the server uses it.
 
 TEST(ServeSinkStateTest, RoundTripsJournalStateAndOffsets) {
   const ClientOffsets offsets = {{"alice", 12345}, {"bob", 0}, {"c/3", 7}};
-  const std::string encoded = EncodeServeSinkState("8192", offsets);
+  const std::string encoded = ingest::EncodeSinkState("8192", offsets);
   std::string journal_state;
   ClientOffsets decoded;
-  ASSERT_TRUE(DecodeServeSinkState(encoded, &journal_state, &decoded).ok());
+  ASSERT_TRUE(ingest::DecodeSinkState(encoded, &journal_state, &decoded).ok());
   EXPECT_EQ(journal_state, "8192");
   EXPECT_EQ(decoded, offsets);
 }
@@ -216,21 +216,21 @@ TEST(ServeSinkStateTest, RoundTripsJournalStateAndOffsets) {
 TEST(ServeSinkStateTest, EmptyOffsetsRoundTrip) {
   std::string journal_state;
   ClientOffsets decoded;
-  ASSERT_TRUE(DecodeServeSinkState(EncodeServeSinkState("", {}),
-                                   &journal_state, &decoded)
+  ASSERT_TRUE(ingest::DecodeSinkState(ingest::EncodeSinkState("", {}),
+                                      &journal_state, &decoded)
                   .ok());
   EXPECT_TRUE(journal_state.empty());
   EXPECT_TRUE(decoded.empty());
 }
 
 TEST(ServeSinkStateTest, RejectsForeignSinkState) {
-  // A websra_sessionize sink_state is a bare decimal journal length —
-  // must not decode as a serve sink_state.
+  // Older websra_sessionize builds stored a bare decimal journal
+  // length; it must not decode.
   std::string journal_state;
   ClientOffsets decoded;
   EXPECT_FALSE(
-      DecodeServeSinkState("123456", &journal_state, &decoded).ok());
-  EXPECT_FALSE(DecodeServeSinkState("", &journal_state, &decoded).ok());
+      ingest::DecodeSinkState("123456", &journal_state, &decoded).ok());
+  EXPECT_FALSE(ingest::DecodeSinkState("", &journal_state, &decoded).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -431,8 +431,8 @@ TEST(NetServerTest, KillAfterCheckpointThenResumeConvergesToBaseline) {
 
     std::string committed_state;
     ClientOffsets offsets;
-    ASSERT_TRUE(DecodeServeSinkState((*resumed)->resumed_sink_state(),
-                                     &committed_state, &offsets)
+    ASSERT_TRUE(ingest::DecodeSinkState((*resumed)->resumed_sink_state(),
+                                        &committed_state, &offsets)
                     .ok());
     // The checkpointed offsets are exactly the complete-line prefixes.
     ASSERT_EQ(offsets.size(), 2u);

@@ -136,6 +136,49 @@ TEST_F(StreamLatencyTest, WatermarkGaugesTrackShardMaximaLagAndSkew) {
             max_watermark - min_nonzero);
 }
 
+TEST_F(StreamLatencyTest, SnapshotAfterFinishAndTeardownKeepsWatermarks) {
+  // A tool's --metrics-out snapshot is taken after Finish, typically
+  // once the engine (and with it the scrape probe) is gone. Finish
+  // refreshes the probe gauges, so that snapshot is not stuck at the
+  // last scrape — or at 0 when nobody scraped.
+  WebGraph graph = MakeFigure1Topology();
+  obs::MetricRegistry registry;
+  CollectingSessionSink sink;
+  constexpr std::size_t kShards = 3;
+  constexpr TimeSeconds kBase = 1'200'000'000;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(kShards)
+          .use_smart_sra(&graph)
+          .set_metrics(&registry),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().message();
+  for (std::uint32_t u = 0; u < 12; ++u) {
+    ASSERT_TRUE((*engine)
+                    ->Offer(PageRecord("10.0.1." + std::to_string(u), u % 5,
+                                       kBase + u))
+                    .ok());
+  }
+  ASSERT_TRUE((*engine)->Finish().ok());
+  std::vector<std::uint64_t> watermarks;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    watermarks.push_back((*engine)->ShardWatermarkSeconds(k));
+  }
+  engine->reset();
+
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  std::size_t absorbing_shards = 0;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    if (watermarks[k] == 0) continue;
+    ++absorbing_shards;
+    EXPECT_EQ(GaugeValue(snapshot, "engine.shard" + std::to_string(k) +
+                                       ".watermark_seconds"),
+              watermarks[k])
+        << "shard " << k;
+  }
+  EXPECT_GE(absorbing_shards, 2u);
+}
+
 TEST_F(StreamLatencyTest, WatermarkZeroBeforeFirstRecordKeepsLagUnset) {
   WebGraph graph = MakeFigure1Topology();
   obs::MetricRegistry registry;

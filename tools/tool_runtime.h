@@ -27,7 +27,7 @@
 #include "wum/common/result.h"
 #include "wum/common/string_util.h"
 #include "wum/common/table.h"
-#include "wum/net/http.h"
+#include "wum/ingest/session_output.h"
 #include "wum/obs/log.h"
 #include "wum/obs/metrics.h"
 #include "wum/obs/reporter.h"
@@ -86,11 +86,6 @@ struct RuntimeFeatures {
   /// Keep the metric registry live even without --metrics-out (daemons:
   /// the admin STATS command must always have numbers to report).
   bool always_metrics = false;
-  /// Accept --http-port and run a standalone MetricsHttpServer scrape
-  /// endpoint for the duration of the run. For long-running tools with
-  /// no LogServer poll loop to ride (websra_sessionize --streaming);
-  /// websra_serve exposes /metrics through the server itself instead.
-  bool scrape_server = false;
 };
 
 /// The started runtime: a metric registry the tool wires into its
@@ -106,9 +101,6 @@ class ToolRuntime {
                                    "metrics-series", "log-level", "trace-out"};
     if (features.durability) {
       names.insert({"checkpoint-dir", "checkpoint-every-records", "resume"});
-    }
-    if (features.scrape_server) {
-      names.insert("http-port");
     }
     return names;
   }
@@ -136,7 +128,6 @@ class ToolRuntime {
     std::signal(SIGPIPE, SIG_IGN);
 #endif
     ToolRuntime runtime;
-    runtime.features_ = features;
     runtime.registry_ = std::make_unique<wum::obs::MetricRegistry>();
     if (flags.Has("log-level")) {
       WUM_ASSIGN_OR_RETURN(std::string name, flags.GetRequired("log-level"));
@@ -145,8 +136,7 @@ class ToolRuntime {
       wum::obs::Logger::Default().set_min_level(level);
     }
     if (features.always_metrics || flags.Has("metrics-out") ||
-        flags.Has("metrics-every") ||
-        (features.scrape_server && flags.Has("http-port"))) {
+        flags.Has("metrics-every")) {
       runtime.metrics_ = runtime.registry_.get();
     }
     if (runtime.metrics_ != nullptr) {
@@ -210,19 +200,6 @@ class ToolRuntime {
             "--checkpoint-every-records/--resume require --checkpoint-dir");
       }
     }
-    if (features.scrape_server && flags.Has("http-port")) {
-      WUM_ASSIGN_OR_RETURN(std::uint64_t port, flags.GetUint("http-port", 0));
-      if (port > 65535) {
-        return wum::Status::InvalidArgument("--http-port must be <= 65535");
-      }
-      WUM_ASSIGN_OR_RETURN(
-          runtime.scrape_server_,
-          wum::net::MetricsHttpServer::Start(
-              "127.0.0.1", static_cast<std::uint16_t>(port),
-              runtime.registry_.get()));
-      std::cout << "metrics endpoint on http://127.0.0.1:"
-                << runtime.scrape_server_->port() << "/metrics\n";
-    }
     return runtime;
   }
 
@@ -242,10 +219,37 @@ class ToolRuntime {
     return checkpoint_;
   }
 
-  /// The --http-port scrape endpoint, or null when the feature is off or
-  /// the flag absent.
-  const wum::net::MetricsHttpServer* scrape_server() const {
-    return scrape_server_.get();
+  /// Creates the engine emitting into `output`, then opens the output's
+  /// journal. With --resume the engine first restores from the
+  /// checkpoint directory; a directory holding no checkpoint yet starts
+  /// fresh, with a note on stderr. `external_replay`: see
+  /// EngineOptions::resume_with_external_replay.
+  wum::Result<std::unique_ptr<wum::StreamEngine>> StartEngine(
+      const wum::EngineOptions& options, wum::ingest::SessionOutput* output,
+      bool external_replay) const {
+    const bool resume = checkpoint_.has_value() && checkpoint_->resume;
+    wum::EngineOptions resume_options = options;
+    if (resume) {
+      resume_options.resume_from(checkpoint_->dir);
+      if (external_replay) resume_options.resume_with_external_replay();
+    }
+    wum::Result<std::unique_ptr<wum::StreamEngine>> created =
+        wum::StreamEngine::Create(resume ? resume_options : options, output);
+    if (resume && !created.ok() && created.status().IsNotFound()) {
+      std::cerr << "--resume: " << created.status().message()
+                << "; starting fresh\n";
+      created = wum::StreamEngine::Create(options, output);
+    }
+    WUM_RETURN_NOT_OK(created.status());
+    WUM_RETURN_NOT_OK(output->Open(**created));
+    if ((*created)->resumed()) {
+      std::cerr << "resumed from checkpoint: "
+                << (*created)->resumed_records_seen() << " records covered, "
+                << output->resumed_offsets().size() << " client offsets, "
+                << output->resumed_journal_bytes()
+                << " committed journal bytes\n";
+    }
+    return created;
   }
 
   /// Adds (or overwrites) one label on the wum_build_info metric —
@@ -303,8 +307,6 @@ class ToolRuntime {
   wum::obs::MetricRegistry* metrics_ = nullptr;
   std::unique_ptr<wum::obs::TraceRecorder> trace_;
   std::unique_ptr<wum::obs::MetricsReporter> reporter_;
-  std::unique_ptr<wum::net::MetricsHttpServer> scrape_server_;
-  RuntimeFeatures features_;
   std::optional<CheckpointConfig> checkpoint_;
   std::vector<std::pair<std::string, std::string>> build_labels_;
 };

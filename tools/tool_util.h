@@ -12,9 +12,12 @@
 #include <set>
 #include <string>
 
+#include "wum/clf/user_partitioner.h"
 #include "wum/common/result.h"
 #include "wum/common/string_util.h"
+#include "wum/common/time.h"
 #include "wum/mine/options.h"
+#include "wum/session/session_io.h"
 
 namespace wum_tools {
 
@@ -122,6 +125,34 @@ inline wum::Result<std::optional<wum::mine::MinerOptions>> GetMiningFlags(
   mining.window_paths = static_cast<std::uint64_t>(window);
   WUM_RETURN_NOT_OK(wum::mine::ValidateMinerOptions(mining));
   return std::optional<wum::mine::MinerOptions>(mining);
+}
+
+/// "[--delta MINUTES=30] [--rho MINUTES=10]": the session-duration and
+/// page-stay thresholds of every sessionizing tool.
+inline wum::Result<wum::TimeThresholds> GetThresholds(const Flags& flags) {
+  WUM_ASSIGN_OR_RETURN(std::uint64_t delta, flags.GetUint("delta", 30));
+  WUM_ASSIGN_OR_RETURN(std::uint64_t rho, flags.GetUint("rho", 10));
+  wum::TimeThresholds thresholds;
+  thresholds.max_session_duration =
+      wum::Minutes(static_cast<std::int64_t>(delta));
+  thresholds.max_page_stay = wum::Minutes(static_cast<std::int64_t>(rho));
+  return thresholds;
+}
+
+/// "[--identity ip|ip-ua]" (default ip).
+inline wum::Result<wum::UserIdentity> GetIdentity(const Flags& flags) {
+  const std::string name = flags.GetString("identity", "ip");
+  if (name == "ip") return wum::UserIdentity::kClientIp;
+  if (name == "ip-ua") return wum::UserIdentity::kClientIpAndUserAgent;
+  return wum::Status::InvalidArgument("unknown identity '" + name + "'");
+}
+
+/// "[--format text|binary]" (default text): session file serialization.
+inline wum::Result<wum::SessionFormat> GetSessionFormat(const Flags& flags) {
+  const std::string name = flags.GetString("format", "text");
+  if (name == "text") return wum::SessionFormat::kText;
+  if (name == "binary") return wum::SessionFormat::kBinary;
+  return wum::Status::InvalidArgument("unknown format '" + name + "'");
 }
 
 /// Prints a failed status and converts it to a process exit code.

@@ -5,15 +5,12 @@
 // and are written to --out when the server quiesces. See
 // docs/serving.md for the protocol and the restart runbook.
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -21,8 +18,7 @@
 
 #include "tool_runtime.h"
 #include "tool_util.h"
-#include "wum/clf/log_filter.h"
-#include "wum/common/string_util.h"
+#include "wum/ingest/session_output.h"
 #include "wum/net/server.h"
 #include "wum/session/session_io.h"
 #include "wum/stream/dead_letter.h"
@@ -88,7 +84,8 @@ std::string Usage() {
          "\n"
          "Records are cleaned inside the engine (GET only, successful\n"
          "status, no embedded resources) unless --no-clean; the robot\n"
-         "filter needs the whole log and is batch-only. --offer-policy\n"
+         "filter needs a pass over the whole log, so the daemon has none\n"
+         "(compare with websra_sessionize --keep-robots). --offer-policy\n"
          "block (default) applies TCP backpressure to producers when a\n"
          "shard queue fills; shed drops sub-batches and accounts every\n"
          "dropped record to its producer in the dead-letter channel\n"
@@ -169,35 +166,12 @@ wum::Status Run(const wum_tools::Flags& flags) {
   WUM_ASSIGN_OR_RETURN(std::string out_path, flags.GetRequired("out"));
   WUM_ASSIGN_OR_RETURN(wum::WebGraph graph, wum::ReadGraphFile(graph_path));
 
-  wum::TimeThresholds thresholds;
-  WUM_ASSIGN_OR_RETURN(std::uint64_t delta_minutes, flags.GetUint("delta", 30));
-  WUM_ASSIGN_OR_RETURN(std::uint64_t rho_minutes, flags.GetUint("rho", 10));
-  thresholds.max_session_duration =
-      wum::Minutes(static_cast<std::int64_t>(delta_minutes));
-  thresholds.max_page_stay =
-      wum::Minutes(static_cast<std::int64_t>(rho_minutes));
-
-  const std::string identity_name = flags.GetString("identity", "ip");
-  wum::UserIdentity identity;
-  if (identity_name == "ip") {
-    identity = wum::UserIdentity::kClientIp;
-  } else if (identity_name == "ip-ua") {
-    identity = wum::UserIdentity::kClientIpAndUserAgent;
-  } else {
-    return wum::Status::InvalidArgument("unknown identity '" + identity_name +
-                                        "'");
-  }
-
-  const std::string format_name = flags.GetString("format", "text");
-  wum::SessionFormat format;
-  if (format_name == "text") {
-    format = wum::SessionFormat::kText;
-  } else if (format_name == "binary") {
-    format = wum::SessionFormat::kBinary;
-  } else {
-    return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                        "'");
-  }
+  WUM_ASSIGN_OR_RETURN(wum::TimeThresholds thresholds,
+                       wum_tools::GetThresholds(flags));
+  WUM_ASSIGN_OR_RETURN(wum::UserIdentity identity,
+                       wum_tools::GetIdentity(flags));
+  WUM_ASSIGN_OR_RETURN(wum::SessionFormat format,
+                       wum_tools::GetSessionFormat(flags));
 
   const std::string policy_name = flags.GetString("offer-policy", "block");
   wum::OfferPolicy offer_policy;
@@ -247,96 +221,18 @@ wum::Status Run(const wum_tools::Flags& flags) {
     // The robot filter needs a whole-log first pass, so the daemon
     // cannot apply it; compare against `websra_sessionize --streaming
     // --keep-robots` for parity.
-    options.add_filter([] { return std::make_unique<wum::MethodFilter>(); });
-    options.add_filter([] { return std::make_unique<wum::StatusFilter>(); });
-    options.add_filter(
-        [] { return std::make_unique<wum::ExtensionFilter>(); });
+    options.add_standard_filters();
   }
-
-  // Sessions go to a durable journal when checkpointing (its flushed
-  // length rides in every manifest), to memory otherwise.
-  std::string journal_path;
-  std::ofstream journal;
-  std::vector<wum::UserSession> sessions;
-  if (checkpoint.has_value()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint->dir, ec);
-    if (ec) {
-      return wum::Status::IoError("cannot create " + checkpoint->dir + ": " +
-                                  ec.message());
-    }
-    journal_path = checkpoint->dir + "/journal.sessions-bin";
-  }
-  wum::CallbackSessionSink sink(
-      [&sessions, &journal, &journal_path, &checkpoint](
-          const std::string& user_key, wum::Session session) {
-        if (checkpoint.has_value()) {
-          wum::Status status = wum::AppendSessionBinary(
-              wum::UserSession{user_key, std::move(session)}, &journal);
-          if (!status.ok()) {
-            return wum::Status::IoError("journal " + journal_path + ": " +
-                                        status.message());
-          }
-          return wum::Status::OK();
-        }
-        sessions.push_back(wum::UserSession{user_key, std::move(session)});
-        return wum::Status::OK();
-      });
 
   // Resume replays nothing from disk: the engine only restores shard
   // state and the record count, and the replay arrives over TCP when
   // clients re-send (the server discards bytes the checkpoint already
-  // covers). Hence resume_with_external_replay.
-  wum::Result<std::unique_ptr<wum::StreamEngine>> created =
-      wum::Status::Internal("unreachable");
-  if (checkpoint.has_value() && checkpoint->resume) {
-    wum::EngineOptions resume_options = options;
-    resume_options.resume_from(checkpoint->dir).resume_with_external_replay();
-    created = wum::StreamEngine::Create(resume_options, &sink);
-    if (!created.ok() && created.status().IsNotFound()) {
-      std::cerr << "--resume: " << created.status().message()
-                << "; starting fresh\n";
-      created = wum::StreamEngine::Create(options, &sink);
-    }
-  } else {
-    created = wum::StreamEngine::Create(options, &sink);
-  }
-  WUM_RETURN_NOT_OK(created.status());
-  std::unique_ptr<wum::StreamEngine> engine = std::move(*created);
-
-  // Journal bring-up mirrors websra_sessionize, except the sink state
-  // also carries the per-client replay offsets.
-  wum::net::ClientOffsets resumed_offsets;
-  if (checkpoint.has_value()) {
-    if (engine->resumed()) {
-      std::string journal_state;
-      WUM_RETURN_NOT_OK(wum::net::DecodeServeSinkState(
-          engine->resumed_sink_state(), &journal_state, &resumed_offsets));
-      WUM_ASSIGN_OR_RETURN(std::uint64_t committed,
-                           wum::ParseUint64(journal_state));
-      std::error_code ec;
-      std::filesystem::resize_file(journal_path, committed, ec);
-      if (ec) {
-        return wum::Status::IoError("cannot truncate " + journal_path +
-                                    " to its committed length: " +
-                                    ec.message());
-      }
-      journal.open(journal_path, std::ios::binary | std::ios::app);
-      if (!journal) {
-        return wum::Status::IoError("cannot reopen " + journal_path);
-      }
-      std::cerr << "resumed from checkpoint: " << engine->resumed_records_seen()
-                << " records covered, " << resumed_offsets.size()
-                << " client offsets, " << committed
-                << " committed journal bytes\n";
-    } else {
-      journal.open(journal_path, std::ios::binary | std::ios::trunc);
-      if (!journal) {
-        return wum::Status::IoError("cannot open " + journal_path);
-      }
-      journal << wum::SessionsBinaryHeaderLine() << '\n';
-    }
-  }
+  // covers). Hence the external replay.
+  wum::ingest::SessionOutput output(checkpoint.has_value() ? checkpoint->dir
+                                                           : std::string());
+  WUM_ASSIGN_OR_RETURN(
+      std::unique_ptr<wum::StreamEngine> engine,
+      runtime.StartEngine(options, &output, /*external_replay=*/true));
 
   std::size_t sessions_written = 0;
   wum::net::ServerOptions server_options;
@@ -387,12 +283,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
   if (checkpoint.has_value()) {
     server_options.ingest.checkpoint_dir = checkpoint->dir;
     server_options.ingest.checkpoint_every_records = checkpoint->every_records;
-    server_options.journal_state = [&]() -> wum::Result<std::string> {
-      journal.flush();
-      if (!journal) {
-        return wum::Status::IoError("journal write failed: " + journal_path);
-      }
-      return std::to_string(static_cast<std::uint64_t>(journal.tellp()));
+    server_options.journal_state = [&output] {
+      return output.JournalState();
     };
   }
   server_options.metrics = runtime.metrics();
@@ -400,27 +292,14 @@ wum::Status Run(const wum_tools::Flags& flags) {
   // QUIESCE: the engine has finished (all sessions emitted), so write
   // the output file and report the count in the admin reply.
   server_options.on_quiesce = [&]() -> wum::Result<std::string> {
-    if (checkpoint.has_value()) {
-      journal.flush();
-      journal.close();
-      if (!journal) {
-        return wum::Status::IoError("journal write failed: " + journal_path);
-      }
-      WUM_ASSIGN_OR_RETURN(sessions, wum::ReadSessionsFile(journal_path));
-    }
-    std::stable_sort(sessions.begin(), sessions.end(),
-                     [](const wum::UserSession& a, const wum::UserSession& b) {
-                       return a.user_key < b.user_key;
-                     });
-    WUM_RETURN_NOT_OK(wum::WriteSessionsFile(sessions, out_path, format));
-    sessions_written = sessions.size();
+    WUM_ASSIGN_OR_RETURN(sessions_written, output.WriteSorted(out_path, format));
     return "sessions=" + std::to_string(sessions_written);
   };
 
   WUM_ASSIGN_OR_RETURN(
       std::unique_ptr<wum::net::LogServer> server,
       wum::net::LogServer::Start(server_options, engine.get(), &dead_letters,
-                                 std::move(resumed_offsets)));
+                                 output.resumed_offsets()));
   if (flags.Has("port-file")) {
     WUM_ASSIGN_OR_RETURN(std::string path, flags.GetRequired("port-file"));
     WUM_RETURN_NOT_OK(WritePortFile(path, server->port()));
@@ -438,11 +317,11 @@ wum::Status Run(const wum_tools::Flags& flags) {
   // daemons apart when triaging a scrape.
   runtime.SetBuildLabel(
       "config", "heuristic=" + flags.GetString("heuristic", "smart-sra") +
-                    " identity=" + identity_name +
+                    " identity=" + flags.GetString("identity", "ip") +
                     " shards=" + std::to_string(threads) +
                     " policy=" + policy_name +
-                    " delta=" + std::to_string(delta_minutes) +
-                    "m rho=" + std::to_string(rho_minutes) + "m");
+                    " delta=" + flags.GetString("delta", "30") +
+                    "m rho=" + flags.GetString("rho", "10") + "m");
   g_stop_fd.store(server->stop_fd(), std::memory_order_relaxed);
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);

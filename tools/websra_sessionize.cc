@@ -3,27 +3,24 @@
 // and reconstruct sessions with a chosen heuristic.
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <span>
 
 #include "tool_runtime.h"
 #include "tool_util.h"
 #include "wum/clf/clf_parser.h"
-#include "wum/stream/dead_letter.h"
 #include "wum/clf/log_filter.h"
 #include "wum/clf/user_partitioner.h"
 #include "wum/common/table.h"
 #include "wum/ingest/byte_source.h"
 #include "wum/ingest/driver.h"
+#include "wum/ingest/session_output.h"
 #include "wum/mine/path_miner.h"
-#include "wum/obs/metrics.h"
 #include "wum/session/instrumented_sessionizer.h"
 #include "wum/session/referrer_heuristic.h"
 #include "wum/session/session_io.h"
+#include "wum/stream/dead_letter.h"
 #include "wum/stream/engine.h"
 #include "wum/stream/heuristic_registry.h"
 #include "wum/topology/graph_io.h"
@@ -39,7 +36,7 @@ std::string Usage() {
          wum::HeuristicRegistry::Default().NamesForUsage() +
          "|referrer]\n"
          "  [--identity ip|ip-ua] [--delta MINUTES=30] [--rho MINUTES=10]\n"
-         "  [--keep-robots] [--streaming] [--threads N=4] [--http-port N]\n"
+         "  [--keep-robots] [--streaming] [--threads N=4]\n"
          "  [--max-parse-errors N=0] [--metrics-out FILE]\n"
          "  [--metrics-every SEC [--metrics-series FILE]] [--trace-out FILE]\n"
          "  [--log-level debug|info|warn|error|off]\n"
@@ -53,26 +50,24 @@ std::string Usage() {
          "sessions and writes them as a websra session file. The referrer\n"
          "heuristic needs a Combined-format log.\n"
          "\n"
-         "--streaming replays the cleaned log through the sharded\n"
+         "--streaming replays the log through the loop websra_serve runs:\n"
+         "the file is parsed chunk by chunk and offered to the sharded\n"
          "StreamEngine (--threads worker shards, hash-partitioned by user\n"
-         "identity) instead of the batch reconstruction path, and prints\n"
-         "the engine's throughput stats to stderr. Output sessions are\n"
-         "identical up to per-user emission order; the referrer heuristic\n"
-         "is batch-only.\n"
+         "identity), which cleans every record itself; nothing is\n"
+         "materialized. The robot filter first takes a parse-only pass\n"
+         "over the file to collect crawler IPs. The engine's throughput\n"
+         "stats go to stderr; the session file is byte-identical to the\n"
+         "batch path's. The referrer heuristic is batch-only.\n"
          "\n"
          "--max-parse-errors tolerates up to N malformed log lines: each\n"
          "one is quarantined to a dead-letter channel (counted in the\n"
-         "end-of-run table) instead of aborting the run. The default 0\n"
-         "fails fast on the first malformed line.\n"
+         "end-of-run table) instead of failing the run. The default 0\n"
+         "fails on the first malformed line; a failed run writes no\n"
+         "--out file.\n"
          "\n"
          "--metrics-out enables the wum::obs observability layer: parser,\n"
          "engine and sessionizer metrics are written to FILE (CSV when it\n"
          "ends in .csv, JSON otherwise) and summarized on stdout.\n"
-         "\n"
-         "--http-port N serves GET /metrics (Prometheus text), /healthz\n"
-         "and /statusz on 127.0.0.1:N (0 = kernel-assigned) for the\n"
-         "duration of the run, so a long replay can be scraped or watched\n"
-         "with websra_top. Implies metrics. See docs/observability.md.\n"
          "\n"
          "--metrics-every also enables metrics and additionally appends a\n"
          "registry snapshot every SEC seconds to --metrics-series (default\n"
@@ -97,270 +92,36 @@ std::string Usage() {
          "\n"
          "--checkpoint-dir enables durable checkpointing (streaming only):\n"
          "sessions append to a journal in DIR and the engine snapshots its\n"
-         "state there every --checkpoint-every-records input records. After\n"
-         "a crash, rerun the identical command with --resume to continue\n"
-         "from the last committed checkpoint; the finished output is\n"
-         "identical to an uninterrupted run. See docs/checkpointing.md.\n";
+         "state there every --checkpoint-every-records parsed input\n"
+         "records. After a crash, rerun the identical command with --resume\n"
+         "to continue from the last committed checkpoint; the finished\n"
+         "output is identical to an uninterrupted run. See\n"
+         "docs/checkpointing.md.\n";
 }
 
-using wum_tools::CheckpointConfig;
+/// The streaming path reads the log in chunks the size of websra_serve's
+/// socket reads, so the shared loop holds the same few hundred records
+/// in flight; 1 MiB chunks would keep ~10k parsed refs and fat recycled
+/// batches resident.
+constexpr std::size_t kStreamChunkBytes = 64u << 10;
 
-/// Streaming path: the cleaned records flow through the sharded engine;
-/// sessions are collected (serialized by the engine) and sorted by user
-/// key so the output file is deterministic regardless of shard timing.
-///
-/// With checkpointing, sessions append to a durable binary journal in
-/// the checkpoint directory instead of memory; each engine checkpoint
-/// records the journal's flushed length as its sink state, and a resume
-/// truncates the journal back to that committed length before
-/// continuing — sessions emitted after the last checkpoint of a killed
-/// run are re-emitted by the replay, never duplicated.
-wum::Status RunStreaming(const std::vector<wum::LogRecord>& cleaned,
-                         const wum::WebGraph& graph,
-                         const std::string& heuristic_name,
-                         wum::UserIdentity identity,
-                         wum::TimeThresholds thresholds, std::size_t threads,
-                         wum::obs::MetricRegistry* metrics,
-                         wum::obs::TraceRecorder* trace,
-                         const std::optional<CheckpointConfig>& checkpoint,
-                         const std::optional<wum::mine::MinerOptions>& mining,
-                         std::vector<wum::UserSession>* output) {
-  if (heuristic_name == "referrer") {
-    return wum::Status::InvalidArgument(
-        "--streaming does not support the referrer heuristic; use the "
-        "batch path");
-  }
-  wum::EngineOptions options;
-  options.set_num_shards(threads)
-      .set_identity(identity)
-      .set_thresholds(thresholds)
-      .set_num_pages(graph.num_pages())
-      .set_metrics(metrics)
-      .set_trace(trace)
-      .use_graph(&graph)
-      .use_heuristic(heuristic_name);
-  if (mining.has_value()) {
-    options.set_mining(*mining);
-  }
-
-  std::string journal_path;
-  std::ofstream journal;
-  if (checkpoint.has_value()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint->dir, ec);
-    if (ec) {
-      return wum::Status::IoError("cannot create " + checkpoint->dir + ": " +
-                                  ec.message());
-    }
-    journal_path = checkpoint->dir + "/journal.sessions-bin";
-  }
-  wum::CallbackSessionSink sink(
-      [output, &journal, &journal_path, &checkpoint](
-          const std::string& user_key, wum::Session session) {
-        if (checkpoint.has_value()) {
-          wum::Status status = wum::AppendSessionBinary(
-              wum::UserSession{user_key, std::move(session)}, &journal);
-          if (!status.ok()) {
-            return wum::Status::IoError("journal " + journal_path + ": " +
-                                        status.message());
-          }
-          return wum::Status::OK();
-        }
-        output->push_back(wum::UserSession{user_key, std::move(session)});
-        return wum::Status::OK();
-      });
-
-  // The engine restores before the journal opens, because the committed
-  // journal length lives in the checkpoint's sink state.
-  wum::Result<std::unique_ptr<wum::StreamEngine>> created =
-      wum::Status::Internal("unreachable");
-  if (checkpoint.has_value() && checkpoint->resume) {
-    wum::EngineOptions resume_options = options;
-    resume_options.resume_from(checkpoint->dir);
-    created = wum::StreamEngine::Create(resume_options, &sink);
-    if (!created.ok() && created.status().IsNotFound()) {
-      std::cerr << "--resume: " << created.status().message()
-                << "; starting fresh\n";
-      created = wum::StreamEngine::Create(options, &sink);
-    }
-  } else {
-    created = wum::StreamEngine::Create(options, &sink);
-  }
-  WUM_RETURN_NOT_OK(created.status());
-  std::unique_ptr<wum::StreamEngine> engine = std::move(*created);
-
-  if (checkpoint.has_value()) {
-    if (engine->resumed()) {
-      WUM_ASSIGN_OR_RETURN(std::uint64_t committed,
-                           wum::ParseUint64(engine->resumed_sink_state()));
-      std::error_code ec;
-      std::filesystem::resize_file(journal_path, committed, ec);
-      if (ec) {
-        return wum::Status::IoError("cannot truncate " + journal_path +
-                                    " to its committed length: " +
-                                    ec.message());
-      }
-      journal.open(journal_path, std::ios::binary | std::ios::app);
-      if (!journal) {
-        return wum::Status::IoError("cannot reopen " + journal_path);
-      }
-      std::cerr << "resumed from checkpoint: skipping "
-                << engine->resumed_sink_state()
-                << " committed journal bytes\n";
-    } else {
-      journal.open(journal_path, std::ios::binary | std::ios::trunc);
-      if (!journal) {
-        return wum::Status::IoError("cannot open " + journal_path);
-      }
-      journal << wum::SessionsBinaryHeaderLine() << '\n';
-    }
-  }
-  const auto journal_state = [&]() -> wum::Result<std::string> {
-    journal.flush();
-    if (!journal) {
-      return wum::Status::IoError("journal write failed: " + journal_path);
-    }
-    return std::to_string(static_cast<std::uint64_t>(journal.tellp()));
-  };
-
-  // Batched replay through the shared IngestDriver — the same batching
-  // and checkpoint-cadence loop websra_serve runs, so checkpoints land
-  // at exactly the same record offsets regardless of front end (resume
-  // offsets must not depend on batching).
-  wum::ingest::IngestOptions ingest_options;
-  if (checkpoint.has_value()) {
-    ingest_options.checkpoint_dir = checkpoint->dir;
-    ingest_options.checkpoint_every_records = checkpoint->every_records;
-    ingest_options.sink_state = journal_state;
-  }
-  WUM_ASSIGN_OR_RETURN(
-      wum::ingest::IngestDriver driver,
-      wum::ingest::IngestDriver::Create(engine.get(),
-                                        std::move(ingest_options)));
-  std::vector<wum::LogRecordRef> refs;
-  refs.reserve(cleaned.size());
-  for (const wum::LogRecord& record : cleaned) {
-    refs.push_back(wum::ViewOf(record));
-  }
-  WUM_RETURN_NOT_OK(driver.OfferRefs(refs));
-  WUM_RETURN_NOT_OK(engine->Finish());
-  if (engine->mining() != nullptr) {
-    std::cout << engine->mining()->PatternsJson() << "\n";
-  }
-  if (checkpoint.has_value()) {
-    journal.flush();
-    journal.close();
-    if (!journal) {
-      return wum::Status::IoError("journal write failed: " + journal_path);
-    }
-    WUM_ASSIGN_OR_RETURN(*output, wum::ReadSessionsFile(journal_path));
-  }
-  std::cerr << "engine[" << engine->num_shards()
-            << " shards]: " << wum::EngineStatsToString(engine->TotalStats())
-            << "\n";
-  const std::vector<wum::EngineStats> per_shard = engine->ShardStats();
-  for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    std::cerr << "  shard " << i << ": "
-              << wum::EngineStatsToString(per_shard[i]) << "\n";
-  }
-  std::stable_sort(output->begin(), output->end(),
-                   [](const wum::UserSession& a, const wum::UserSession& b) {
-                     return a.user_key < b.user_key;
-                   });
-  return wum::Status::OK();
-}
-
-/// End-of-run accounting table: every log line is either parsed or
-/// dead-lettered, and every parsed record either survives cleaning into
-/// the session file or was filtered.
-void PrintRunSummary(const wum::ClfParser::Stats& parse_stats,
-                     const wum::DeadLetterQueue& dead_letters,
-                     std::size_t cleaned_records, std::size_t sessions) {
-  wum::Table table({"stage", "count"});
-  table.AddRow({"log lines seen", std::to_string(parse_stats.lines_seen)});
-  table.AddRow({"records parsed", std::to_string(parse_stats.records_parsed)});
-  table.AddRow({"malformed lines dead-lettered",
-                std::to_string(dead_letters.total_offered())});
-  table.AddRow({"records after cleaning", std::to_string(cleaned_records)});
-  table.AddRow({"sessions written", std::to_string(sessions)});
-  table.Render(&std::cout);
-}
-
-wum::Status Run(const wum_tools::Flags& flags) {
-  const wum_tools::RuntimeFeatures features{.durability = true,
-                                            .always_metrics = false,
-                                            .scrape_server = true};
-  WUM_RETURN_NOT_OK(flags.CheckKnown(wum_tools::ToolRuntime::WithFlags(
-      {"graph", "log", "out", "heuristic", "identity", "delta", "rho",
-       "keep-robots", "streaming", "threads", "max-parse-errors", "format",
-       "mine-topk", "mine-lengths", "mine-window"},
-      features)));
-  WUM_ASSIGN_OR_RETURN(std::string graph_path, flags.GetRequired("graph"));
-  WUM_ASSIGN_OR_RETURN(std::string log_path, flags.GetRequired("log"));
-  WUM_ASSIGN_OR_RETURN(std::string out_path, flags.GetRequired("out"));
-  WUM_ASSIGN_OR_RETURN(wum::WebGraph graph, wum::ReadGraphFile(graph_path));
-
+/// Everything both paths need from the command line.
+struct Job {
+  std::string log_path;
+  std::string out_path;
+  std::string heuristic;
+  wum::UserIdentity identity = wum::UserIdentity::kClientIp;
   wum::TimeThresholds thresholds;
-  WUM_ASSIGN_OR_RETURN(std::uint64_t delta_minutes, flags.GetUint("delta", 30));
-  WUM_ASSIGN_OR_RETURN(std::uint64_t rho_minutes, flags.GetUint("rho", 10));
-  thresholds.max_session_duration =
-      wum::Minutes(static_cast<std::int64_t>(delta_minutes));
-  thresholds.max_page_stay = wum::Minutes(static_cast<std::int64_t>(rho_minutes));
+  wum::SessionFormat format = wum::SessionFormat::kText;
+  std::uint64_t max_parse_errors = 0;
+  bool keep_robots = false;
+  std::optional<wum::mine::MinerOptions> mining;
+};
 
-  const std::string identity_name = flags.GetString("identity", "ip");
-  wum::UserIdentity identity;
-  if (identity_name == "ip") {
-    identity = wum::UserIdentity::kClientIp;
-  } else if (identity_name == "ip-ua") {
-    identity = wum::UserIdentity::kClientIpAndUserAgent;
-  } else {
-    return wum::Status::InvalidArgument("unknown identity '" + identity_name +
-                                        "'");
-  }
-
-  const std::string format_name = flags.GetString("format", "text");
-  wum::SessionFormat format;
-  if (format_name == "text") {
-    format = wum::SessionFormat::kText;
-  } else if (format_name == "binary") {
-    format = wum::SessionFormat::kBinary;
-  } else {
-    return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                        "'");
-  }
-
-  // The shared tool runtime: observability (one registry behind the
-  // parser, the engine and the sessionizer; trace recorder; reporter;
-  // log level) plus the parsed durability flags.
-  WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
-                       wum_tools::ToolRuntime::Start(flags, features));
-  const std::optional<CheckpointConfig>& checkpoint = runtime.checkpoint();
-  if (checkpoint.has_value() && !flags.Has("streaming")) {
-    return wum::Status::InvalidArgument(
-        "--checkpoint-dir requires --streaming");
-  }
-  wum::obs::MetricRegistry* metrics = runtime.metrics();
-  runtime.SetBuildLabel(
-      "config", "heuristic=" + flags.GetString("heuristic", "smart-sra") +
-                    " identity=" + identity_name +
-                    (flags.Has("streaming") ? " streaming" : " batch"));
-  WUM_ASSIGN_OR_RETURN(std::optional<wum::mine::MinerOptions> mining,
-                       wum_tools::GetMiningFlags(flags));
-  if (mining.has_value() && !flags.Has("streaming")) {
-    return wum::Status::InvalidArgument("--mine-topk requires --streaming");
-  }
-
-  // Parse. Malformed lines are quarantined to the dead-letter channel;
-  // more than --max-parse-errors of them aborts the run (default 0:
-  // fail fast on the first one).
-  WUM_ASSIGN_OR_RETURN(std::uint64_t max_parse_errors,
-                       flags.GetUint("max-parse-errors", 0));
-  WUM_ASSIGN_OR_RETURN(wum::ingest::FileSource log_source,
-                       wum::ingest::FileSource::Open(log_path));
-  wum::ClfParser parser(metrics);
-  parser.set_tracer(runtime.tracer());
-  wum::DeadLetterQueue dead_letters;
-  parser.set_reject_handler([&dead_letters](std::uint64_t line_number,
+/// Routes every malformed line the parser rejects to `dead_letters`.
+void DeadLetterRejects(wum::ClfParser* parser,
+                       wum::DeadLetterQueue* dead_letters) {
+  parser->set_reject_handler([dead_letters](std::uint64_t line_number,
                                             std::string_view raw_line,
                                             const wum::Status& reason) {
     wum::DeadLetter letter;
@@ -368,14 +129,166 @@ wum::Status Run(const wum_tools::Flags& flags) {
     letter.reason = reason;
     letter.detail =
         "line " + std::to_string(line_number) + ": " + std::string(raw_line);
-    dead_letters.Offer(std::move(letter));
+    dead_letters->Offer(std::move(letter));
   });
-  // Zero-copy ingest through the shared ByteSource surface:
-  // line-aligned chunks straight out of the (usually memory-mapped)
-  // log, batch-parsed into views — the same source contract the TCP
-  // server's per-connection buffers implement. The records are owned
-  // because the cleaning chain and robot observer scan them long after
-  // the chunk buffer moves on.
+}
+
+/// More than --max-parse-errors malformed lines fails the run.
+wum::Status CheckParseErrors(const wum::ClfParser::Stats& stats,
+                             std::uint64_t max_parse_errors) {
+  if (stats.lines_rejected > max_parse_errors) {
+    std::string message = std::to_string(stats.lines_rejected) +
+                          " malformed lines exceed --max-parse-errors=" +
+                          std::to_string(max_parse_errors);
+    for (const std::string& sample : stats.sample_errors) {
+      message += "\n  " + sample;
+    }
+    return wum::Status::ParseError(message);
+  }
+  std::cout << "parsed " << stats.records_parsed << " records, "
+            << stats.lines_rejected << " malformed lines\n";
+  return wum::Status::OK();
+}
+
+/// End-of-run accounting table: every log line is either parsed or
+/// dead-lettered, and every parsed record either reaches a sessionizer
+/// as a page view or was cleaned away.
+void PrintRunSummary(const wum::ClfParser::Stats& parse_stats,
+                     const wum::DeadLetterQueue& dead_letters,
+                     std::uint64_t page_views, std::size_t sessions) {
+  wum::Table table({"stage", "count"});
+  table.AddRow({"log lines seen", std::to_string(parse_stats.lines_seen)});
+  table.AddRow({"records parsed", std::to_string(parse_stats.records_parsed)});
+  table.AddRow({"malformed lines dead-lettered",
+                std::to_string(dead_letters.total_offered())});
+  table.AddRow({"page views sessionized", std::to_string(page_views)});
+  table.AddRow({"sessions written", std::to_string(sessions)});
+  table.Render(&std::cout);
+}
+
+/// The robot filter's whole-log meaning — a client that fetches
+/// /robots.txt anywhere in the log loses all its records — needs the
+/// crawler set before the first record is offered: a parse-only pass
+/// over the file that keeps nothing but that set.
+wum::Result<wum::RobotFilter> ObserveRobots(const std::string& log_path) {
+  WUM_ASSIGN_OR_RETURN(
+      wum::ingest::FileSource source,
+      wum::ingest::FileSource::Open(log_path, kStreamChunkBytes));
+  wum::ClfParser parser;
+  wum::RobotFilter robots;
+  std::vector<wum::LogRecordRef> refs;
+  while (true) {
+    WUM_ASSIGN_OR_RETURN(std::optional<std::string_view> chunk,
+                         source.Next());
+    if (!chunk.has_value()) return robots;
+    refs.clear();
+    WUM_RETURN_NOT_OK(parser.ParseChunk(*chunk, &refs));
+    for (const wum::LogRecordRef& ref : refs) robots.ObserveForRobots(ref);
+  }
+}
+
+/// Streaming path: the daemon's loop over a file — FileSource ->
+/// IngestDriver::Pump -> StreamEngine, cleaning inside the engine, and
+/// sessions into the SessionOutput websra_serve writes through too.
+wum::Status RunStreaming(const Job& job, const wum::WebGraph& graph,
+                         const wum_tools::Flags& flags,
+                         wum_tools::ToolRuntime& runtime) {
+  if (job.heuristic == "referrer") {
+    return wum::Status::InvalidArgument(
+        "--streaming does not support the referrer heuristic; use the "
+        "batch path");
+  }
+  WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
+  if (threads == 0) {
+    return wum::Status::InvalidArgument("--threads must be >= 1");
+  }
+  wum::EngineOptions options;
+  options.set_num_shards(static_cast<std::size_t>(threads))
+      .set_identity(job.identity)
+      .set_thresholds(job.thresholds)
+      .set_num_pages(graph.num_pages())
+      .set_metrics(runtime.metrics())
+      .set_trace(runtime.trace())
+      .use_graph(&graph)
+      .use_heuristic(job.heuristic)
+      .add_standard_filters();
+  if (!job.keep_robots) {
+    WUM_ASSIGN_OR_RETURN(wum::RobotFilter robots, ObserveRobots(job.log_path));
+    options.add_filter(
+        [robots] { return std::make_unique<wum::RobotFilter>(robots); });
+  }
+  if (job.mining.has_value()) {
+    options.set_mining(*job.mining);
+  }
+
+  const std::optional<wum_tools::CheckpointConfig>& checkpoint =
+      runtime.checkpoint();
+  wum::ingest::SessionOutput output(checkpoint.has_value() ? checkpoint->dir
+                                                           : std::string());
+  WUM_ASSIGN_OR_RETURN(
+      std::unique_ptr<wum::StreamEngine> engine,
+      runtime.StartEngine(options, &output, /*external_replay=*/false));
+  wum::ingest::IngestOptions ingest_options;
+  if (checkpoint.has_value()) {
+    ingest_options.checkpoint_dir = checkpoint->dir;
+    ingest_options.checkpoint_every_records = checkpoint->every_records;
+    ingest_options.sink_state = [&output] { return output.SinkState(); };
+  }
+  WUM_ASSIGN_OR_RETURN(
+      wum::ingest::IngestDriver driver,
+      wum::ingest::IngestDriver::Create(engine.get(),
+                                        std::move(ingest_options)));
+  WUM_ASSIGN_OR_RETURN(
+      wum::ingest::FileSource source,
+      wum::ingest::FileSource::Open(job.log_path, kStreamChunkBytes));
+  wum::ClfParser parser(runtime.metrics());
+  parser.set_tracer(runtime.tracer());
+  wum::DeadLetterQueue dead_letters;
+  DeadLetterRejects(&parser, &dead_letters);
+  WUM_RETURN_NOT_OK(driver.Pump(&source, &parser));
+  WUM_RETURN_NOT_OK(CheckParseErrors(parser.stats(), job.max_parse_errors));
+  WUM_RETURN_NOT_OK(engine->Finish());
+  if (engine->mining() != nullptr) {
+    std::cout << engine->mining()->PatternsJson() << "\n";
+  }
+  const wum::EngineStats total = engine->TotalStats();
+  std::cerr << "engine[" << engine->num_shards()
+            << " shards]: " << wum::EngineStatsToString(total) << "\n";
+  const std::vector<wum::EngineStats> per_shard = engine->ShardStats();
+  for (std::size_t i = 0; i < per_shard.size(); ++i) {
+    std::cerr << "  shard " << i << ": "
+              << wum::EngineStatsToString(per_shard[i]) << "\n";
+  }
+  // Every session is in the output now. Free the engine's per-user
+  // state before WriteSorted reads a checkpoint journal back into
+  // memory (744k lines: 56 MB peak instead of 65 MB).
+  engine.reset();
+  WUM_ASSIGN_OR_RETURN(const std::size_t written,
+                       output.WriteSorted(job.out_path, job.format));
+  std::cout << "wrote " << written << " sessions (" << job.heuristic
+            << ", streaming) to " << job.out_path << "\n";
+  PrintRunSummary(parser.stats(), dead_letters,
+                  total.records_in - total.records_dropped, written);
+  return runtime.Finish(flags);
+}
+
+/// Batch path, the reference implementation the streaming path is
+/// checked against: parse and clean the whole log, partition it by
+/// user, reconstruct each user's sessions.
+wum::Status RunBatch(const Job& job, const wum::WebGraph& graph,
+                     const wum_tools::Flags& flags,
+                     wum_tools::ToolRuntime& runtime) {
+  if (flags.Has("threads")) {
+    return wum::Status::InvalidArgument("--threads requires --streaming");
+  }
+  WUM_ASSIGN_OR_RETURN(wum::ingest::FileSource log_source,
+                       wum::ingest::FileSource::Open(job.log_path));
+  wum::ClfParser parser(runtime.metrics());
+  parser.set_tracer(runtime.tracer());
+  wum::DeadLetterQueue dead_letters;
+  DeadLetterRejects(&parser, &dead_letters);
+  // The records are owned because the cleaning chain and robot observer
+  // scan them long after the chunk buffer moves on.
   std::vector<wum::LogRecord> records;
   std::vector<wum::LogRecordRef> parsed_refs;
   while (true) {
@@ -388,22 +301,11 @@ wum::Status Run(const wum_tools::Flags& flags) {
       records.push_back(ref.Materialize());
     }
   }
-  if (parser.stats().lines_rejected > max_parse_errors) {
-    std::string message =
-        std::to_string(parser.stats().lines_rejected) +
-        " malformed lines exceed --max-parse-errors=" +
-        std::to_string(max_parse_errors);
-    for (const std::string& sample : parser.stats().sample_errors) {
-      message += "\n  " + sample;
-    }
-    return wum::Status::ParseError(message);
-  }
-  std::cout << "parsed " << parser.stats().records_parsed << " records, "
-            << parser.stats().lines_rejected << " malformed lines\n";
+  WUM_RETURN_NOT_OK(CheckParseErrors(parser.stats(), job.max_parse_errors));
 
   // Clean.
   wum::FilterChain chain = wum::FilterChain::Standard();
-  if (!flags.Has("keep-robots")) {
+  if (!job.keep_robots) {
     auto robots = std::make_unique<wum::RobotFilter>();
     robots->ObserveForRobots(records);
     chain.Add(std::move(robots));
@@ -411,41 +313,20 @@ wum::Status Run(const wum_tools::Flags& flags) {
   std::vector<wum::LogRecord> cleaned = chain.Apply(records);
   std::cout << "cleaning kept " << cleaned.size() << " page views\n";
 
-  const std::string heuristic_name =
-      flags.GetString("heuristic", "smart-sra");
-  std::vector<wum::UserSession> output;
-
-  // Streaming path: sharded StreamEngine instead of batch reconstruction.
-  if (flags.Has("streaming")) {
-    WUM_ASSIGN_OR_RETURN(std::uint64_t threads, flags.GetUint("threads", 4));
-    if (threads == 0) {
-      return wum::Status::InvalidArgument("--threads must be >= 1");
-    }
-    WUM_RETURN_NOT_OK(RunStreaming(cleaned, graph, heuristic_name, identity,
-                                   thresholds,
-                                   static_cast<std::size_t>(threads), metrics,
-                                   runtime.trace(), checkpoint, mining,
-                                   &output));
-    WUM_RETURN_NOT_OK(wum::WriteSessionsFile(output, out_path, format));
-    std::cout << "wrote " << output.size() << " sessions (" << heuristic_name
-              << ", streaming) to " << out_path << "\n";
-    PrintRunSummary(parser.stats(), dead_letters, cleaned.size(),
-                    output.size());
-    return runtime.Finish(flags);
-  }
-  if (flags.Has("threads")) {
-    return wum::Status::InvalidArgument("--threads requires --streaming");
-  }
-
   // Identify users.
   WUM_ASSIGN_OR_RETURN(wum::PartitionResult partition,
                        wum::PartitionByUser(cleaned, graph.num_pages(),
-                                            identity));
+                                            job.identity));
   std::cout << "identified " << partition.streams.size() << " users ("
             << partition.skipped_non_page_urls << " non-page URLs skipped)\n";
+  std::uint64_t page_views = 0;
+  for (const wum::UserStream& user : partition.streams) {
+    page_views += user.requests.size();
+  }
 
   // Reconstruct.
-  if (heuristic_name == "referrer") {
+  std::vector<wum::UserSession> output;
+  if (job.heuristic == "referrer") {
     // Rebuild per-user referred streams from the cleaned records.
     std::map<std::string, std::vector<wum::ReferredRequest>> streams;
     for (const wum::LogRecord& record : cleaned) {
@@ -453,7 +334,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
       if (!page.ok()) continue;
       wum::Result<std::uint32_t> referrer =
           wum::PageFromReferrer(record.referrer);
-      streams[wum::UserKeyFor(record.client_ip, record.user_agent, identity)]
+      streams[wum::UserKeyFor(record.client_ip, record.user_agent,
+                              job.identity)]
           .push_back(wum::ReferredRequest{
               static_cast<wum::PageId>(*page),
               referrer.ok() ? static_cast<wum::PageId>(*referrer)
@@ -461,7 +343,7 @@ wum::Status Run(const wum_tools::Flags& flags) {
               record.timestamp});
     }
     wum::ReferrerSessionizer::Options options;
-    options.thresholds = thresholds;
+    options.thresholds = job.thresholds;
     wum::ReferrerSessionizer heuristic(&graph, options);
     for (auto& [key, stream] : streams) {
       std::stable_sort(stream.begin(), stream.end(),
@@ -478,11 +360,12 @@ wum::Status Run(const wum_tools::Flags& flags) {
   } else {
     wum::HeuristicContext context;
     context.graph = &graph;
-    context.thresholds = thresholds;
+    context.thresholds = job.thresholds;
     WUM_ASSIGN_OR_RETURN(std::unique_ptr<wum::Sessionizer> inner,
                          wum::HeuristicRegistry::Default().CreateBatch(
-                             heuristic_name, context));
-    wum::InstrumentedSessionizer heuristic(std::move(inner), metrics);
+                             job.heuristic, context));
+    wum::InstrumentedSessionizer heuristic(std::move(inner),
+                                           runtime.metrics());
     for (const wum::UserStream& user : partition.streams) {
       WUM_ASSIGN_OR_RETURN(std::vector<wum::Session> sessions,
                            heuristic.Reconstruct(user.requests));
@@ -491,11 +374,54 @@ wum::Status Run(const wum_tools::Flags& flags) {
       }
     }
   }
-  WUM_RETURN_NOT_OK(wum::WriteSessionsFile(output, out_path, format));
-  std::cout << "wrote " << output.size() << " sessions (" << heuristic_name
-            << ") to " << out_path << "\n";
-  PrintRunSummary(parser.stats(), dead_letters, cleaned.size(), output.size());
+  WUM_RETURN_NOT_OK(wum::WriteSessionsFile(output, job.out_path, job.format));
+  std::cout << "wrote " << output.size() << " sessions (" << job.heuristic
+            << ") to " << job.out_path << "\n";
+  PrintRunSummary(parser.stats(), dead_letters, page_views, output.size());
   return runtime.Finish(flags);
+}
+
+wum::Status Run(const wum_tools::Flags& flags) {
+  const wum_tools::RuntimeFeatures features{.durability = true,
+                                            .always_metrics = false};
+  WUM_RETURN_NOT_OK(flags.CheckKnown(wum_tools::ToolRuntime::WithFlags(
+      {"graph", "log", "out", "heuristic", "identity", "delta", "rho",
+       "keep-robots", "streaming", "threads", "max-parse-errors", "format",
+       "mine-topk", "mine-lengths", "mine-window"},
+      features)));
+  Job job;
+  WUM_ASSIGN_OR_RETURN(std::string graph_path, flags.GetRequired("graph"));
+  WUM_ASSIGN_OR_RETURN(job.log_path, flags.GetRequired("log"));
+  WUM_ASSIGN_OR_RETURN(job.out_path, flags.GetRequired("out"));
+  WUM_ASSIGN_OR_RETURN(wum::WebGraph graph, wum::ReadGraphFile(graph_path));
+  job.heuristic = flags.GetString("heuristic", "smart-sra");
+  WUM_ASSIGN_OR_RETURN(job.thresholds, wum_tools::GetThresholds(flags));
+  WUM_ASSIGN_OR_RETURN(job.identity, wum_tools::GetIdentity(flags));
+  WUM_ASSIGN_OR_RETURN(job.format, wum_tools::GetSessionFormat(flags));
+  WUM_ASSIGN_OR_RETURN(job.max_parse_errors,
+                       flags.GetUint("max-parse-errors", 0));
+  job.keep_robots = flags.Has("keep-robots");
+  WUM_ASSIGN_OR_RETURN(job.mining, wum_tools::GetMiningFlags(flags));
+
+  // The shared tool runtime: observability (one registry behind the
+  // parser, the engine and the sessionizer; trace recorder; reporter;
+  // log level) plus the parsed durability flags.
+  WUM_ASSIGN_OR_RETURN(wum_tools::ToolRuntime runtime,
+                       wum_tools::ToolRuntime::Start(flags, features));
+  const bool streaming = flags.Has("streaming");
+  if (runtime.checkpoint().has_value() && !streaming) {
+    return wum::Status::InvalidArgument(
+        "--checkpoint-dir requires --streaming");
+  }
+  if (job.mining.has_value() && !streaming) {
+    return wum::Status::InvalidArgument("--mine-topk requires --streaming");
+  }
+  runtime.SetBuildLabel(
+      "config", "heuristic=" + job.heuristic + " identity=" +
+                    flags.GetString("identity", "ip") +
+                    (streaming ? " streaming" : " batch"));
+  return streaming ? RunStreaming(job, graph, flags, runtime)
+                   : RunBatch(job, graph, flags, runtime);
 }
 
 }  // namespace

@@ -134,16 +134,8 @@ wum::Status Run(const wum_tools::Flags& flags) {
         truth.push_back(wum::UserSession{agent.client_ip, session});
       }
     }
-    const std::string format_name = flags.GetString("format", "text");
-    wum::SessionFormat format;
-    if (format_name == "text") {
-      format = wum::SessionFormat::kText;
-    } else if (format_name == "binary") {
-      format = wum::SessionFormat::kBinary;
-    } else {
-      return wum::Status::InvalidArgument("unknown format '" + format_name +
-                                          "'");
-    }
+    WUM_ASSIGN_OR_RETURN(wum::SessionFormat format,
+                         wum_tools::GetSessionFormat(flags));
     const std::string truth_path = flags.GetString("truth-out", "");
     wum::obs::ScopedSpan span(runtime.tracer(), "write-truth", 0, truth.size());
     WUM_RETURN_NOT_OK(wum::WriteSessionsFile(truth, truth_path, format));

@@ -1,7 +1,7 @@
 // websra_top: a live terminal dashboard over the observability endpoint
 // of a running websra daemon. Polls GET /metrics (Prometheus text) from
-// `websra_serve --http-port` or `websra_sessionize --http-port`, or
-// reads the same exposition from a snapshot file, and renders per-shard
+// `websra_serve --http-port`, or reads the same exposition from a
+// snapshot file, and renders per-shard
 // throughput, ingest->emit latency, watermark lag and queue depths.
 //
 // `--once --format json` emits one deterministic machine-readable
