@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "wum/session/time_heuristics.h"
 
@@ -19,7 +21,7 @@ std::vector<Session> SmartSra::Phase1(
 
 Result<std::vector<Session>> SmartSra::Phase2(const Session& candidate) const {
   const std::vector<PageRequest>& reqs = candidate.requests;
-  const std::size_t n = reqs.size();
+  const std::uint32_t n = static_cast<std::uint32_t>(reqs.size());
   if (n <= 1) {
     std::vector<Session> result;
     if (n == 1) result.push_back(candidate);
@@ -27,148 +29,124 @@ Result<std::vector<Session>> SmartSra::Phase2(const Session& candidate) const {
   }
   const TimeSeconds rho = options_.thresholds.max_page_stay;
 
-  auto links_within_rho = [&](std::size_t from, std::size_t to) {
-    const TimeSeconds gap = reqs[to].timestamp - reqs[from].timestamp;
-    return gap >= 0 && gap <= rho &&
-           graph_->HasLink(reqs[from].page, reqs[to].page);
+  // Step 1, one window scan: every pair (from, to) with Link[page_from,
+  // page_to] and 0 <= t_to - t_from <= rho. `from` is an earlier-logged
+  // referrer of `to`, or a later-logged occurrence with the same
+  // timestamp, which can extend a session but is no referrer. An
+  // occurrence's round, the Step I-II iteration that removes it, is the
+  // depth of its longest chain of earlier-logged referrers.
+  struct Link {
+    std::uint32_t from, to;
   };
-
-  // Chain fast path. When every occurrence has at most one in-candidate
-  // referrer and at most one continuation, the link relation is a disjoint
-  // union of forward chains and those chains are exactly the maximal
-  // sessions, so the round machinery (and its per-round allocations) can
-  // be skipped. Real navigation is overwhelmingly linear, so this covers
-  // nearly every candidate; anything with a fork or join falls through to
-  // the general algorithm. Guards: the deduplicate sort canonicalizes
-  // session order (the general path's output order depends on removal
-  // rounds), and max_sessions_per_candidate >= n makes the general path's
-  // mid-extension overflow check unreachable for chains.
-  constexpr std::size_t kChainFastPathMaxRequests = 64;
-  if (n <= kChainFastPathMaxRequests && options_.deduplicate &&
-      options_.max_sessions_per_candidate >= n) {
-    std::uint8_t in_deg[kChainFastPathMaxRequests] = {};
-    std::uint8_t out_deg[kChainFastPathMaxRequests] = {};
-    std::uint8_t next[kChainFastPathMaxRequests] = {};
-    bool chains = true;
-    for (std::size_t i = 1; chains && i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        if (!links_within_rho(j, i)) continue;
-        if (++in_deg[i] > 1 || ++out_deg[j] > 1) {
-          chains = false;
-          break;
-        }
-        next[j] = static_cast<std::uint8_t>(i);
+  std::vector<Link> links;
+  links.reserve(n);
+  // round, extended_in, first_parent (n + 1 entries) and order share one
+  // allocation: phase 2 runs once per candidate on the shard threads, and
+  // four separate blocks raised the replay benchmark's peak RSS by 4 %.
+  std::vector<std::uint32_t> arrays(4 * n + 1, 0);
+  const std::span<std::uint32_t> round(arrays.data(), n);
+  for (std::uint32_t i = 1; i < n; ++i) {
+    for (std::uint32_t j = i;
+         j-- > 0 && reqs[i].timestamp - reqs[j].timestamp <= rho;) {
+      if (graph_->HasLink(reqs[j].page, reqs[i].page)) {
+        links.push_back({j, i});
+        round[i] = std::max(round[i], round[j] + 1);
       }
-    }
-    if (chains) {
-      std::vector<Session> result;
-      for (std::size_t head = 0; head < n; ++head) {
-        if (in_deg[head] != 0) continue;
-        Session session;
-        std::size_t i = head;
-        while (true) {
-          session.requests.push_back(reqs[i]);
-          if (out_deg[i] != 1) break;
-          i = next[i];
-        }
-        result.push_back(std::move(session));
+      if (reqs[j].timestamp == reqs[i].timestamp &&
+          graph_->HasLink(reqs[i].page, reqs[j].page)) {
+        links.push_back({i, j});
       }
-      std::sort(result.begin(), result.end(),
-                [](const Session& a, const Session& b) {
-                  return a.requests < b.requests;
-                });
-      result.erase(std::unique(result.begin(), result.end()), result.end());
-      return result;
     }
   }
 
-  // Sessions are index lists into `reqs` so duplicate page ids keep their
-  // distinct occurrences and timestamps.
-  std::vector<std::vector<std::size_t>> sessions;
-  std::vector<bool> alive(n, true);
-  std::size_t remaining = n;
+  // Figure 2's Step III keeps the sessions ending at one tail together,
+  // newer rounds' blocks first: the session list is ordered by (round
+  // descending, index ascending). A tail's block is extended in the first
+  // later round that holds an occurrence it links to, by every such
+  // occurrence, and carried over unchanged until then. The tails a start
+  // extends are its parents, kept in list order. Every start after round
+  // 0 has one: its latest referrer's block is still a tail then.
+  constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+  const std::span<std::uint32_t> extended_in(arrays.data() + n, n);
+  std::fill(extended_in.begin(), extended_in.end(), kNever);
+  for (const Link& link : links) {
+    if (round[link.to] > round[link.from]) {
+      extended_in[link.from] = std::min(extended_in[link.from], round[link.to]);
+    }
+  }
+  const auto list_order = [&](std::uint32_t a, std::uint32_t b) {
+    return round[a] != round[b] ? round[a] > round[b] : a < b;
+  };
+  std::erase_if(links, [&](const Link& link) {
+    return extended_in[link.from] != round[link.to];
+  });
+  std::sort(links.begin(), links.end(), [&](const Link& a, const Link& b) {
+    return a.to != b.to ? a.to < b.to : list_order(a.from, b.from);
+  });
+  const std::span<std::uint32_t> first_parent(arrays.data() + 2 * n, n + 1);
+  for (const Link& link : links) ++first_parent[link.to + 1];
+  std::partial_sum(first_parent.begin(), first_parent.end(),
+                   first_parent.begin());
 
-  // How many live earlier occurrences link to each occurrence. Step I reads
-  // these counts instead of rescanning every pair each round (which made
-  // chain-shaped candidates — the common case for real navigation — cubic);
-  // counts are decremented as referrers are removed, so "count == 0" is
-  // exactly the original "no remaining earlier referrer" predicate.
-  std::vector<std::uint32_t> referrer_count(n, 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (links_within_rho(j, i)) ++referrer_count[i];
+  // Step 2, round by round: a start's block holds the sum of its parents'
+  // session counts, saturated above the cap. A round builds the blocks of
+  // all its starts and fails when they hold more sessions than the cap;
+  // here that is known before any session is built.
+  const std::span<std::uint32_t> order(arrays.data() + 3 * n + 1, n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), list_order);
+  const std::size_t cap = options_.max_sessions_per_candidate;
+  // Saturating sum; the limit is cap + 1 unless that overflows.
+  const auto add = [limit = std::max(cap + 1, cap)](std::size_t a,
+                                                    std::size_t b) {
+    return a >= limit - b ? limit : a + b;
+  };
+  std::vector<std::size_t> count(n, 1);
+  std::uint32_t built_round = 0;
+  std::size_t built = 0;  // sessions of `built_round`
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::uint32_t i = *it;
+    if (round[i] == 0) continue;
+    if (round[i] != built_round) {
+      built_round = round[i];
+      built = 0;
+    }
+    count[i] = 0;
+    for (std::uint32_t p = first_parent[i]; p < first_parent[i + 1]; ++p) {
+      count[i] = add(count[i], count[links[p].from]);
+    }
+    built = add(built, count[i]);
+    if (built > cap) {
+      return Status::OutOfRange(
+          "Smart-SRA phase 2 exceeded max_sessions_per_candidate (" +
+          std::to_string(cap) +
+          "); the topology induces exponentially many maximal paths");
     }
   }
 
-  std::vector<std::size_t> starts;
-  while (remaining > 0) {
-    // Step I: occurrences with no remaining earlier referrer. The earliest
-    // remaining occurrence always qualifies, so progress is guaranteed.
-    starts.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (alive[i] && referrer_count[i] == 0) starts.push_back(i);
-    }
-
-    // Step II: remove them from the candidate.
-    for (std::size_t i : starts) alive[i] = false;
-    remaining -= starts.size();
-    for (std::size_t s : starts) {
-      for (std::size_t i = s + 1; i < n; ++i) {
-        if (alive[i] && links_within_rho(s, i)) --referrer_count[i];
-      }
-    }
-
-    // Step III: extend the session set.
-    if (sessions.empty()) {
-      for (std::size_t i : starts) sessions.push_back({i});
-      continue;
-    }
-    if (starts.size() == 1 && sessions.size() == 1 &&
-        links_within_rho(sessions[0].back(), starts[0])) {
-      // Lone session extended by a lone start: append in place instead of
-      // rebuilding the session set. This is every round of a pure chain.
-      sessions[0].push_back(starts[0]);
-      continue;
-    }
-    std::vector<std::vector<std::size_t>> next_sessions;
-    std::vector<bool> extended(sessions.size(), false);
-    for (std::size_t i : starts) {
-      bool placed = false;
-      for (std::size_t s = 0; s < sessions.size(); ++s) {
-        if (links_within_rho(sessions[s].back(), i)) {
-          next_sessions.push_back(sessions[s]);
-          next_sessions.back().push_back(i);
-          extended[s] = true;
-          placed = true;
-          if (next_sessions.size() > options_.max_sessions_per_candidate) {
-            return Status::OutOfRange(
-                "Smart-SRA phase 2 exceeded max_sessions_per_candidate (" +
-                std::to_string(options_.max_sessions_per_candidate) +
-                "); the topology induces exponentially many maximal paths");
-          }
-        }
-      }
-      if (!placed) {
-        // Unreachable for inputs produced by phase 1 (every late start's
-        // freshest referrer is the tail of some session; see the design
-        // doc), but kept so no occurrence is ever silently dropped when
-        // Phase2 is driven directly with arbitrary candidates.
-        next_sessions.push_back({i});
-      }
-    }
-    for (std::size_t s = 0; s < sessions.size(); ++s) {
-      if (!extended[s]) next_sessions.push_back(sessions[s]);
-    }
-    sessions = std::move(next_sessions);
-  }
-
+  // Step 3: walk from each final tail back through its parents, in list
+  // order, building every session once.
   std::vector<Session> result;
-  result.reserve(sessions.size());
-  for (const auto& indices : sessions) {
-    Session session;
-    session.requests.reserve(indices.size());
-    for (std::size_t i : indices) session.requests.push_back(reqs[i]);
-    result.push_back(std::move(session));
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> path;  // (i, next)
+  for (std::uint32_t tail : order) {
+    if (extended_in[tail] != kNever) continue;
+    path.push_back({tail, first_parent[tail]});
+    while (!path.empty()) {
+      auto& [i, next] = path.back();
+      if (round[i] == 0) {
+        Session& session = result.emplace_back();
+        session.requests.reserve(path.size());
+        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+          session.requests.push_back(reqs[it->first]);
+        }
+      }
+      if (next == first_parent[i + 1]) {
+        path.pop_back();
+      } else {
+        const std::uint32_t parent = links[next++].from;
+        path.push_back({parent, first_parent[parent]});
+      }
+    }
   }
   if (options_.deduplicate) {
     std::sort(result.begin(), result.end(),

@@ -13,13 +13,23 @@
 //         links to them within the page-stay bound (unextended sessions
 //         are carried over unchanged).
 //
+// Phase 2 computes that construction in one pass. An occurrence's round
+// (the iteration of Steps I-II that removes it) is the depth of its
+// longest chain of earlier-logged referrers. A session is extended in the
+// first later round that holds an occurrence its tail links to, by every
+// such occurrence. Session counts are propagated round by round, so the
+// max_sessions_per_candidate check runs before any session is built, and
+// each session is then built once by walking back from its tail.
+//
 // Differences from the paper's pseudocode (see DESIGN.md §2): referrers
 // are earlier pages (the printed `j>i` contradicts both the formal
 // definition and the Table 4 trace), and the step-III time check compares
 // against the session's last element. Additionally the extension requires
 // a non-negative time difference, because occurrence-removal order is not
 // timestamp order and the paper's own timestamp-ordering rule would
-// otherwise be violated.
+// otherwise be violated. Equal timestamps: a tail also extends an
+// occurrence logged before it in the same second (the gap is 0), but
+// only an earlier-logged occurrence counts as a referrer.
 
 #ifndef WUM_SESSION_SMART_SRA_H_
 #define WUM_SESSION_SMART_SRA_H_
@@ -41,8 +51,9 @@ class SmartSra : public Sessionizer {
     /// delta / rho (paper defaults 30 min / 10 min).
     TimeThresholds thresholds;
     /// Phase 2 enumerates every maximal path, which is exponential on
-    /// adversarial topologies (chained link diamonds). Reconstruct
-    /// returns OutOfRange once one candidate's session set exceeds this.
+    /// adversarial topologies (chained link diamonds). Phase 2 returns
+    /// OutOfRange, before building any session, when one round of a
+    /// candidate would extend sessions into more than this many.
     std::size_t max_sessions_per_candidate = 65536;
     /// Drop exact-duplicate sessions from each candidate's output.
     bool deduplicate = true;

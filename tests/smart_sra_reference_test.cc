@@ -1,9 +1,9 @@
-// Cross-checks Smart-SRA phase 2 against a brute-force reference that
-// enumerates *every* maximal anchored session satisfying the
-// timestamp-ordering and topology rules of a candidate, on exhaustive
-// tiny inputs and random small ones.
+// Cross-checks Smart-SRA phase 2 two ways.
 //
-// The provable relationship (and what the paper's Figure 2 algorithm
+// Against a brute-force reference that enumerates *every* maximal
+// anchored session satisfying the timestamp-ordering and topology rules
+// of a candidate, on exhaustive tiny inputs and random small ones. The
+// provable relationship (and what the paper's Figure 2 algorithm
 // actually guarantees) is CONTAINMENT, not equality: every emitted
 // session is a maximal anchored rule-satisfying path, and every
 // occurrence is covered, but the layered construction can omit some
@@ -13,12 +13,19 @@
 // D->C, A->X, A->B, C->B — the path [A,B] is maximal but never built,
 // because B only becomes extendable after [A] was already consumed by
 // X.) The paper example of Table 4 does reach equality.
+//
+// Against a literal round-by-round transcription of Figure 2 (peel the
+// occurrences without a remaining referrer, extend every session whose
+// tail links to them, carry the rest over), which phase 2 must match
+// exactly: the same sessions in the same order, and OutOfRange in the
+// same cases.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <set>
+#include <string>
 
 #include "wum/common/random.h"
 #include "wum/session/smart_sra.h"
@@ -81,6 +88,93 @@ std::set<std::vector<PageRequest>> ReferenceMaximalSessions(
     dfs(dfs, head);
   }
   return sessions;
+}
+
+// Figure 2, round by round, with sessions as occurrence-index lists: the
+// construction phase 2 computes in one pass. The session list and its
+// order, the carry-over of unextended sessions and the moment the cap is
+// checked are the specification; so is `deduplicate`'s sort.
+Result<std::vector<Session>> RoundByRoundPhase2(
+    const Session& candidate, const WebGraph& graph,
+    const SmartSra::Options& options) {
+  const std::vector<PageRequest>& reqs = candidate.requests;
+  const std::size_t n = reqs.size();
+  const TimeSeconds rho = options.thresholds.max_page_stay;
+  auto linked = [&](std::size_t from, std::size_t to) {
+    const TimeSeconds gap = reqs[to].timestamp - reqs[from].timestamp;
+    return gap >= 0 && gap <= rho &&
+           graph.HasLink(reqs[from].page, reqs[to].page);
+  };
+  std::vector<std::vector<std::size_t>> sessions;
+  std::vector<bool> alive(n, true);
+  std::size_t remaining = n;
+  // Live earlier referrers per occurrence.
+  std::vector<std::size_t> referrers(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) referrers[i] += linked(j, i);
+  }
+  while (remaining > 0) {
+    // Step I: occurrences with no remaining earlier referrer.
+    std::vector<std::size_t> starts;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (alive[i] && referrers[i] == 0) starts.push_back(i);
+    }
+    // Step II: remove them.
+    for (std::size_t i : starts) alive[i] = false;
+    remaining -= starts.size();
+    for (std::size_t s : starts) {
+      for (std::size_t i = s + 1; i < n; ++i) {
+        if (alive[i] && linked(s, i)) --referrers[i];
+      }
+    }
+    // Step III: extend the session set.
+    if (sessions.empty()) {
+      for (std::size_t i : starts) sessions.push_back({i});
+      continue;
+    }
+    if (starts.size() == 1 && sessions.size() == 1 &&
+        linked(sessions[0].back(), starts[0])) {
+      sessions[0].push_back(starts[0]);  // no cap check: one session
+      continue;
+    }
+    std::vector<std::vector<std::size_t>> next_sessions;
+    std::vector<bool> extended(sessions.size(), false);
+    for (std::size_t i : starts) {
+      bool placed = false;
+      for (std::size_t s = 0; s < sessions.size(); ++s) {
+        if (!linked(sessions[s].back(), i)) continue;
+        next_sessions.push_back(sessions[s]);
+        next_sessions.back().push_back(i);
+        extended[s] = true;
+        placed = true;
+        if (next_sessions.size() > options.max_sessions_per_candidate) {
+          return Status::OutOfRange(
+              "Smart-SRA phase 2 exceeded max_sessions_per_candidate (" +
+              std::to_string(options.max_sessions_per_candidate) +
+              "); the topology induces exponentially many maximal paths");
+        }
+      }
+      if (!placed) next_sessions.push_back({i});
+    }
+    for (std::size_t s = 0; s < sessions.size(); ++s) {
+      if (!extended[s]) next_sessions.push_back(sessions[s]);
+    }
+    sessions = std::move(next_sessions);
+  }
+  std::vector<Session> result;
+  for (const auto& indices : sessions) {
+    Session session;
+    for (std::size_t i : indices) session.requests.push_back(reqs[i]);
+    result.push_back(std::move(session));
+  }
+  if (options.deduplicate) {
+    std::sort(result.begin(), result.end(),
+              [](const Session& a, const Session& b) {
+                return a.requests < b.requests;
+              });
+    result.erase(std::unique(result.begin(), result.end()), result.end());
+  }
+  return result;
 }
 
 std::set<std::vector<PageRequest>> AsSet(const std::vector<Session>& sessions) {
@@ -229,6 +323,68 @@ TEST(SmartSraReferenceTest, RandomSmallCandidates) {
     }
     ExpectContainedInReference(graph, MakeSession(pages, times));
   }
+}
+
+TEST(SmartSraReferenceTest, MatchesRoundByRoundConstructionExactly) {
+  // Random candidates built to stress what the one-pass phase 2 derives
+  // from the rounds: equal timestamps (a later-logged occurrence can
+  // extend an earlier one), duplicate (page, ts) occurrences, long
+  // candidates, dense topologies whose path counts cross small caps, and
+  // gaps around rho. Every output list, with and without deduplication,
+  // and every OutOfRange must agree.
+  Rng rng(20260117);
+  std::size_t refused = 0;
+  std::size_t ties = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::size_t num_pages = 2 + rng.NextBounded(12);
+    const double density = 0.05 + 0.5 * rng.NextUnit();
+    WebGraph graph(num_pages);
+    for (std::size_t from = 0; from < num_pages; ++from) {
+      for (std::size_t to = 0; to < num_pages; ++to) {
+        if (rng.Bernoulli(density)) {
+          graph.AddLink(static_cast<PageId>(from), static_cast<PageId>(to));
+        }
+      }
+    }
+    SmartSra::Options options;
+    options.thresholds.max_page_stay = 1 + rng.NextBounded(40);
+    options.max_sessions_per_candidate = 1 + rng.NextBounded(50);
+    const std::size_t length =
+        1 + rng.NextBounded(trial % 10 == 0 ? 150 : 30);
+    Session candidate;
+    TimeSeconds t = 0;
+    for (std::size_t i = 0; i < length; ++i) {
+      if (i > 0 && rng.Bernoulli(0.15)) {
+        candidate.requests.push_back(candidate.requests.back());
+        ++ties;
+        continue;
+      }
+      const std::uint64_t step = rng.NextBounded(4);
+      t += step == 0 ? 0 : static_cast<TimeSeconds>(rng.NextBounded(30));
+      if (i > 0 && candidate.requests.back().timestamp == t) ++ties;
+      candidate.requests.push_back(
+          PageRequest{static_cast<PageId>(rng.NextBounded(num_pages)), t});
+    }
+    for (bool deduplicate : {true, false}) {
+      options.deduplicate = deduplicate;
+      const Result<std::vector<Session>> expected =
+          RoundByRoundPhase2(candidate, graph, options);
+      const Result<std::vector<Session>> actual =
+          SmartSra(&graph, options).Phase2(candidate);
+      ASSERT_EQ(actual.status(), expected.status())
+          << "trial " << trial << " candidate: " << SessionToString(candidate);
+      if (!expected.ok()) {
+        ++refused;
+        continue;
+      }
+      ASSERT_EQ(*actual, *expected)
+          << "trial " << trial << " deduplicate=" << deduplicate
+          << " candidate: " << SessionToString(candidate);
+    }
+  }
+  // The sample must reach both the cap and the tie rules.
+  EXPECT_GT(refused, 100u);
+  EXPECT_GT(ties, 1000u);
 }
 
 }  // namespace

@@ -22,6 +22,24 @@ std::vector<std::vector<PageId>> PageSequences(
   return sequences;
 }
 
+// Chain of k link diamonds a->{b,c}->d, one request per second: each
+// diamond doubles the number of maximal paths (2^k). `graph` needs
+// 3k + 1 pages.
+std::vector<PageRequest> DiamondChain(int k, WebGraph* graph) {
+  std::vector<PageRequest> requests = {{0, 0}};
+  for (int d = 0; d < k; ++d) {
+    const PageId junction = static_cast<PageId>(3 * d);
+    graph->AddLink(junction, junction + 1);
+    graph->AddLink(junction, junction + 2);
+    graph->AddLink(junction + 1, junction + 3);
+    graph->AddLink(junction + 2, junction + 3);
+    for (PageId p = junction + 1; p <= junction + 3; ++p) {
+      requests.push_back({p, static_cast<TimeSeconds>(p)});
+    }
+  }
+  return requests;
+}
+
 TEST(SmartSraTest, ReproducesPaperTables3And4) {
   WebGraph graph = MakeFigure1Topology();
   SmartSra heuristic(&graph);
@@ -137,26 +155,9 @@ TEST(SmartSraTest, BranchingProducesAllMaximalPaths) {
 }
 
 TEST(SmartSraTest, SessionLimitGuardsExponentialBlowup) {
-  // Chain of diamonds: each layer doubles the number of maximal paths.
   constexpr int kDiamonds = 6;  // 64 paths
   WebGraph graph(3 * kDiamonds + 1);
-  std::vector<PageRequest> requests;
-  TimeSeconds t = 0;
-  PageId junction = 0;
-  requests.push_back(PageRequest{junction, t});
-  for (int d = 0; d < kDiamonds; ++d) {
-    PageId left = static_cast<PageId>(3 * d + 1);
-    PageId right = static_cast<PageId>(3 * d + 2);
-    PageId next = static_cast<PageId>(3 * d + 3);
-    graph.AddLink(junction, left);
-    graph.AddLink(junction, right);
-    graph.AddLink(left, next);
-    graph.AddLink(right, next);
-    requests.push_back(PageRequest{left, t += 10});
-    requests.push_back(PageRequest{right, t += 10});
-    requests.push_back(PageRequest{next, t += 10});
-    junction = next;
-  }
+  const std::vector<PageRequest> requests = DiamondChain(kDiamonds, &graph);
   SmartSra::Options tight;
   tight.max_sessions_per_candidate = 8;
   SmartSra limited(&graph, tight);
@@ -168,6 +169,48 @@ TEST(SmartSraTest, SessionLimitGuardsExponentialBlowup) {
   Result<std::vector<Session>> sessions = unlimited.Reconstruct(requests);
   ASSERT_TRUE(sessions.ok());
   EXPECT_EQ(sessions->size(), 1u << kDiamonds);
+}
+
+TEST(SmartSraTest, HostileDiamondChainFailsBeforeBuildingSessions) {
+  // A producer controls the candidate. 16 diamonds (65,536 paths) still
+  // fit the default cap; at 17 phase 2 counts the paths and refuses
+  // before it builds any session.
+  WebGraph graph17(3 * 17 + 1);
+  const std::vector<PageRequest> hostile = DiamondChain(17, &graph17);
+  ASSERT_EQ(hostile.size(), 52u);
+  Result<std::vector<Session>> refused = SmartSra(&graph17).Phase2({hostile});
+  ASSERT_TRUE(refused.status().IsOutOfRange());
+  EXPECT_EQ(refused.status().message(),
+            "Smart-SRA phase 2 exceeded max_sessions_per_candidate (65536); "
+            "the topology induces exponentially many maximal paths");
+
+  WebGraph graph16(3 * 16 + 1);
+  Result<std::vector<Session>> fits =
+      SmartSra(&graph16).Phase2({DiamondChain(16, &graph16)});
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->size(), 65536u);
+}
+
+TEST(SmartSraTest, EqualTimestampTailExtendsRegardlessOfDeduplication) {
+  // Links X->Y and Z->Y; requests (X,0), (Y,10), (Z,10). Z is logged
+  // after Y but at the same second, so the session [Z] (round 0) is a
+  // tail that links to Y within [0, rho] when Y starts in round 1, and
+  // both [X] and [Z] are extended. Deduplication only drops duplicates,
+  // so it must not change the answer.
+  WebGraph graph(3);  // 0=X, 1=Y, 2=Z
+  graph.AddLink(0, 1);
+  graph.AddLink(2, 1);
+  const Session candidate = MakeSession({0, 1, 2}, {0, 10, 10});
+  const std::vector<Session> expected = {MakeSession({0, 1}, {0, 10}),
+                                         MakeSession({2, 1}, {10, 10})};
+  for (bool deduplicate : {true, false}) {
+    SmartSra::Options options;
+    options.deduplicate = deduplicate;
+    Result<std::vector<Session>> sessions =
+        SmartSra(&graph, options).Phase2(candidate);
+    ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+    EXPECT_EQ(*sessions, expected) << "deduplicate=" << deduplicate;
+  }
 }
 
 TEST(SmartSraTest, DeduplicationRemovesIdenticalBranches) {
