@@ -262,7 +262,8 @@ BENCHMARK(BM_StreamEngineSharded)
 
 // Same workload with the wum::obs registry attached: the spread against
 // BM_StreamEngineSharded is the live cost of metrics (counter mirrors
-// plus drain/sessionize latency timers); the null-registry runs above
+// published per batch plus the per-batch and per-flush busy timers);
+// the null-registry runs above
 // measure the disabled mode, which must stay within ~2% of the seed.
 void BM_StreamEngineShardedMetrics(benchmark::State& state) {
   StreamEngineShardedLoop(state, &BenchMetricsRegistry());
@@ -291,9 +292,12 @@ BENCHMARK(BM_StreamEngineShardedMining)
 
 // End-to-end latency tracking cost: with a registry attached the
 // threaded driver stamps every batch at accept (one clock read on the
-// producer side), the emit hub reads the clock per emitted session to
-// feed the ingest_to_emit_latency_us histogram, and the sessionizer
-// maintains the per-shard event-time watermark. The spread against
+// producer side), times each drained batch into busy_us (one clock
+// pair), each emit flush takes one clock pair for emit_busy_us whose
+// second read also feeds the flush's sessions into the
+// ingest_to_emit_latency_us histogram with one weighted observation,
+// and the sessionizer maintains the per-shard event-time watermark. No
+// clock is read per record or per session. The spread against
 // BM_StreamEngineSharded is the full price of the live-telemetry path;
 // the CI gate holds this arm to >= 0.92x of its committed baseline so
 // the instrumentation can never quietly grow a per-record clock read.

@@ -155,7 +155,6 @@ Result<LogRecord> ParseClfLine(std::string_view line) {
 
 Result<LogRecordRef> ClfParser::AccountLine(std::string_view line) {
   ++stats_.lines_seen;
-  lines_seen_.Increment();
   Result<LogRecordRef> parsed = [&] {
     // Span per line, seq = the 1-based line number (shard is always 0:
     // parsing runs upstream of partitioning).
@@ -164,10 +163,8 @@ Result<LogRecordRef> ClfParser::AccountLine(std::string_view line) {
   }();
   if (parsed.ok()) {
     ++stats_.records_parsed;
-    records_parsed_.Increment();
   } else {
     ++stats_.lines_rejected;
-    lines_rejected_.Increment();
     obs::LogWarn("clf.reject")("line", stats_.lines_seen)(
         "error", parsed.status().message());
     if (reject_handler_ != nullptr) {
@@ -183,8 +180,16 @@ Result<LogRecordRef> ClfParser::AccountLine(std::string_view line) {
   return parsed;
 }
 
+void ClfParser::PublishStats(const Stats& before) {
+  lines_seen_.Increment(stats_.lines_seen - before.lines_seen);
+  records_parsed_.Increment(stats_.records_parsed - before.records_parsed);
+  lines_rejected_.Increment(stats_.lines_rejected - before.lines_rejected);
+}
+
 Status ClfParser::ParseChunk(std::string_view chunk,
                              std::vector<LogRecordRef>* records) {
+  const Stats before{stats_.lines_seen, stats_.records_parsed,
+                     stats_.lines_rejected, {}};
   while (!chunk.empty()) {
     const std::size_t newline = chunk.find('\n');
     // A chunk need not end in '\n': the final line of a file (or of a
@@ -196,27 +201,29 @@ Status ClfParser::ParseChunk(std::string_view chunk,
                                               : chunk.substr(newline + 1);
     if (StripWhitespace(line).empty()) {
       ++stats_.lines_seen;
-      lines_seen_.Increment();
       continue;
     }
     Result<LogRecordRef> parsed = AccountLine(line);
     if (parsed.ok()) records->push_back(*parsed);
   }
+  PublishStats(before);
   return Status::OK();
 }
 
 Status ClfParser::ParseStream(std::istream* in,
                               std::vector<LogRecord>* records) {
+  const Stats before{stats_.lines_seen, stats_.records_parsed,
+                     stats_.lines_rejected, {}};
   std::string line;
   while (std::getline(*in, line)) {
     if (StripWhitespace(line).empty()) {
       ++stats_.lines_seen;
-      lines_seen_.Increment();
       continue;
     }
     Result<LogRecordRef> parsed = AccountLine(line);
     if (parsed.ok()) records->push_back(parsed->Materialize());
   }
+  PublishStats(before);
   if (in->bad()) return Status::IoError("stream read failure");
   return Status::OK();
 }

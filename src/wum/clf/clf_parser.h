@@ -45,9 +45,9 @@ class ClfParser {
   ClfParser() = default;
 
   /// With a registry, mirrors Stats into the counters "clf.lines_seen",
-  /// "clf.records_parsed" and "clf.lines_rejected" as the stream is
-  /// parsed. `metrics` may be null (all handles stay disabled) and must
-  /// otherwise outlive the parser.
+  /// "clf.records_parsed" and "clf.lines_rejected", once at the end of
+  /// every ParseStream/ParseChunk call. `metrics` may be null (all
+  /// handles stay disabled) and must otherwise outlive the parser.
   explicit ClfParser(obs::MetricRegistry* metrics)
       : lines_seen_(obs::CounterIn(metrics, "clf.lines_seen")),
         records_parsed_(obs::CounterIn(metrics, "clf.records_parsed")),
@@ -95,6 +95,9 @@ class ClfParser {
   /// Shared per-line bookkeeping for ParseStream/ParseChunk: counts the
   /// line, parses it, and routes rejects to the handler and samples.
   Result<LogRecordRef> AccountLine(std::string_view line);
+
+  /// Adds what stats_ gained since `before` to the registry counters.
+  void PublishStats(const Stats& before);
 
   RejectHandler reject_handler_;
   obs::Tracer tracer_;

@@ -15,14 +15,30 @@ ExtensionFilter::ExtensionFilter(std::vector<std::string> blocked_extensions)
   for (std::string& ext : blocked_extensions_) ext = AsciiToLower(ext);
 }
 
+namespace {
+
+/// EndsWith with ASCII case folded on `text` only (`lower_suffix` is
+/// already lower case), compared in place: no lowered copy of the URL.
+bool EndsWithLowered(std::string_view text, std::string_view lower_suffix) {
+  if (text.size() < lower_suffix.size()) return false;
+  const std::string_view tail = text.substr(text.size() - lower_suffix.size());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    char c = tail[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    if (c != lower_suffix[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool ExtensionFilter::Keep(const LogRecord& record) const {
   // Compare against the path only (strip any query string).
   std::string_view path = record.url;
   std::size_t query = path.find('?');
   if (query != std::string_view::npos) path = path.substr(0, query);
-  std::string lower = AsciiToLower(path);
   for (const std::string& ext : blocked_extensions_) {
-    if (EndsWith(lower, ext)) return false;
+    if (EndsWithLowered(path, ext)) return false;
   }
   return true;
 }

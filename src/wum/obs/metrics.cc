@@ -35,7 +35,6 @@ void AtomicMax(std::atomic<double>* cell, double value) {
 }
 
 std::atomic<ClockMicrosFn> g_clock_override{nullptr};
-std::atomic<EpochSecondsFn> g_epoch_clock_override{nullptr};
 
 double SteadyClockMicros() {
   return std::chrono::duration<double, std::micro>(
@@ -52,20 +51,6 @@ double NowMicros() {
 
 void SetClockForTesting(ClockMicrosFn fn) {
   g_clock_override.store(fn, std::memory_order_release);
-}
-
-std::uint64_t NowEpochSeconds() {
-  const EpochSecondsFn fn =
-      g_epoch_clock_override.load(std::memory_order_acquire);
-  if (fn != nullptr) return fn();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-void SetEpochClockForTesting(EpochSecondsFn fn) {
-  g_epoch_clock_override.store(fn, std::memory_order_release);
 }
 
 std::string EscapeJson(const std::string& text) {
@@ -115,12 +100,13 @@ HistogramCell::HistogramCell(std::vector<double> upper_bounds)
             std::memory_order_relaxed);
 }
 
-void HistogramCell::Observe(double value) {
+void HistogramCell::Observe(double value, std::uint64_t n) {
+  if (n == 0) return;
   std::size_t i = 0;
   while (i < bounds.size() && value > bounds[i]) ++i;
-  buckets[i].fetch_add(1, std::memory_order_relaxed);
-  count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum, value);
+  buckets[i].fetch_add(n, std::memory_order_relaxed);
+  count.fetch_add(n, std::memory_order_relaxed);
+  AtomicAdd(&sum, value * static_cast<double>(n));
   AtomicMin(&min, value);
   AtomicMax(&max, value);
 }

@@ -51,17 +51,6 @@ double NowMicros();
 /// only; not meant for concurrent installation while timers run.
 void SetClockForTesting(ClockMicrosFn fn);
 
-/// Wall-clock source for event-time comparisons (watermark lag). Unlike
-/// NowMicros this is *epoch* time — comparable against CLF timestamps.
-using EpochSecondsFn = std::uint64_t (*)();
-
-/// UNIX seconds from std::chrono::system_clock, or the test override.
-std::uint64_t NowEpochSeconds();
-
-/// Installs `fn` as the wall clock (nullptr restores system_clock).
-/// Tests only.
-void SetEpochClockForTesting(EpochSecondsFn fn);
-
 /// JSON string escaping shared by the metrics and trace exporters.
 std::string EscapeJson(const std::string& text);
 
@@ -132,7 +121,8 @@ namespace internal {
 struct HistogramCell {
   explicit HistogramCell(std::vector<double> upper_bounds);
 
-  void Observe(double value);
+  /// Records `n` observations of `value` at the cost of one.
+  void Observe(double value, std::uint64_t n = 1);
 
   /// Inclusive upper bounds, strictly increasing; the implicit last
   /// bucket is (+inf).
@@ -154,8 +144,10 @@ class Histogram {
  public:
   Histogram() = default;
 
-  void Observe(double value) {
-    if (cell_ != nullptr) cell_->Observe(value);
+  /// `n` > 1 records `n` identical observations with one update (a
+  /// batch of sessions delivered at the same instant).
+  void Observe(double value, std::uint64_t n = 1) {
+    if (cell_ != nullptr) cell_->Observe(value, n);
   }
 
   bool enabled() const { return cell_ != nullptr; }
@@ -333,6 +325,42 @@ class ScopedTimer {
  private:
   Histogram histogram_;
   double start_us_ = 0.0;
+};
+
+/// Busy-time accounting for one single-threaded stage: Start/Stop bracket
+/// an interval (one batch, one flush) and Stop adds its length to a
+/// microsecond Counter. The sub-microsecond remainder carries over to
+/// the next interval, so the counter always holds the floor of the exact
+/// total however short the intervals are. Disabled (default-made or
+/// built on a disabled Counter) it never reads the clock. One writer at
+/// a time; the counter itself may be read from anywhere.
+class BusyTimer {
+ public:
+  BusyTimer() = default;
+  explicit BusyTimer(Counter counter) : counter_(counter) {}
+
+  bool enabled() const { return counter_.enabled(); }
+
+  /// Clock reading that opens an interval (0 when disabled).
+  double Start() const { return enabled() ? internal::NowMicros() : 0.0; }
+
+  /// Closes the interval opened at `start`; returns the clock reading
+  /// it took (0 when disabled), for callers that need "now" as well.
+  double Stop(double start) {
+    if (!enabled()) return 0.0;
+    const double now = internal::NowMicros();
+    carry_us_ += now - start;
+    const auto whole = static_cast<std::uint64_t>(carry_us_);
+    if (whole > 0) {
+      counter_.Increment(whole);
+      carry_us_ -= static_cast<double>(whole);
+    }
+    return now;
+  }
+
+ private:
+  Counter counter_;
+  double carry_us_ = 0.0;
 };
 
 }  // namespace obs

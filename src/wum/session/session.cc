@@ -23,11 +23,18 @@ std::string SessionToString(const Session& session) {
   oss << '[';
   for (std::size_t i = 0; i < session.requests.size(); ++i) {
     if (i > 0) oss << ", ";
-    oss << 'P' << session.requests[i].page << " @"
-        << session.requests[i].timestamp;
+    PrintTo(session.requests[i], &oss);
   }
   oss << ']';
   return oss.str();
+}
+
+void PrintTo(const PageRequest& request, std::ostream* os) {
+  *os << 'P' << request.page << " @" << request.timestamp;
+}
+
+void PrintTo(const Session& session, std::ostream* os) {
+  *os << SessionToString(session);
 }
 
 Session MakeSession(const std::vector<PageId>& pages,

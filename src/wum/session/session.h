@@ -6,6 +6,7 @@
 #define WUM_SESSION_SESSION_H_
 
 #include <compare>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,6 +46,12 @@ struct Session {
 
 /// Renders "[P3 @120, P7 @185]" for debugging and test failure messages.
 std::string SessionToString(const Session& session);
+
+/// Value printers, found by argument-dependent lookup (the googletest
+/// convention): a failing EXPECT_EQ on requests or sessions prints
+/// "P3 @120" / "[P3 @120, P7 @185]" instead of raw bytes.
+void PrintTo(const PageRequest& request, std::ostream* os);
+void PrintTo(const Session& session, std::ostream* os);
 
 /// Builds a session from parallel page/timestamp lists (test convenience).
 Session MakeSession(const std::vector<PageId>& pages,

@@ -20,9 +20,11 @@ namespace wum {
 // linkage, can hold members of this type without -Wsubobject-linkage.
 namespace engine_internal {
 
-/// Pass-through stage bumping an atomic counter (and, when enabled, a
-/// registry counter mirroring it), so shard progress is observable from
-/// other threads while the worker runs.
+/// Pass-through stage counting the records it sees. The count stays in
+/// a plain worker-local field until Publish adds it to the atomic that
+/// other threads read (and, when enabled, to the registry counter
+/// mirroring it): the shard publishes once per drained batch, so the
+/// record path pays no atomic operation here.
 class CountingSink : public RecordSink {
  public:
   CountingSink(std::atomic<std::uint64_t>* counter, RecordSink* next,
@@ -30,17 +32,24 @@ class CountingSink : public RecordSink {
       : counter_(counter), next_(next), mirror_(mirror) {}
 
   Status Accept(const LogRecord& record) override {
-    counter_->fetch_add(1, std::memory_order_relaxed);
-    mirror_.Increment();
+    ++pending_;
     return next_->Accept(record);
   }
 
   Status Finish() override { return next_->Finish(); }
 
+  void Publish() {
+    if (pending_ == 0) return;
+    counter_->fetch_add(pending_, std::memory_order_relaxed);
+    mirror_.Increment(pending_);
+    pending_ = 0;
+  }
+
  private:
   std::atomic<std::uint64_t>* counter_;
   RecordSink* next_;
   obs::Counter mirror_;
+  std::uint64_t pending_ = 0;
 };
 
 }  // namespace engine_internal
@@ -139,8 +148,12 @@ class StreamEngine::ShardEmit : public SessionSink {
   /// session at once.
   static constexpr std::size_t kFlushSessions = 256;
 
-  ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror)
-      : engine_(engine), shard_(shard), delivered_mirror_(delivered_mirror) {
+  ShardEmit(StreamEngine* engine, Shard* shard, obs::Counter delivered_mirror,
+            obs::Counter busy_us)
+      : engine_(engine),
+        shard_(shard),
+        delivered_mirror_(delivered_mirror),
+        busy_(busy_us) {
     buffer_.reserve(kFlushSessions);
   }
 
@@ -151,7 +164,9 @@ class StreamEngine::ShardEmit : public SessionSink {
 
   /// Delivers the buffer under one hub hold and settles each session:
   /// delivered, dead-lettered (kDegrade) or refused. Returns the sticky
-  /// refusal under kFailFast, OK otherwise.
+  /// refusal under kFailFast, OK otherwise. With metrics on, the hub
+  /// wait, hold and sink time land in emit_busy_us (two clock reads per
+  /// flush, the second doubling as the delivery time for latency).
   Status Flush();
 
   /// Sessions successfully delivered to the caller's sink.
@@ -180,6 +195,7 @@ class StreamEngine::ShardEmit : public SessionSink {
   StreamEngine* engine_;
   Shard* shard_;
   obs::Counter delivered_mirror_;
+  obs::BusyTimer busy_;  // emit_busy_us
   std::vector<EmitHub::Pending> buffer_;
   Status refused_;  // first refusal under kFailFast; sticky
   std::atomic<std::uint64_t> delivered_sessions_{0};
@@ -201,6 +217,13 @@ struct StreamEngine::Shard {
   obs::Counter records_in;  // mirrors `offered` when metrics are enabled
   obs::Counter dead_letter_mirror;
   obs::Counter shed_mirror;
+  // Worker time on drained batches (the driver's clock pair per batch)
+  // and on the Finish flush.
+  obs::Counter busy_us;
+  // Newest CLF timestamp handed to this shard's queue: the head of the
+  // event time it has to catch up with (engine.watermark_lag_seconds).
+  // Written by the producer once per hand-off, read by the scrape probe.
+  std::atomic<std::uint64_t> newest_offered_seconds{0};
 
   // Accept-time stamp (NowMicros) of the batch the worker is currently
   // draining; 0 between batches and during the Finish flush, so stale
@@ -247,6 +270,7 @@ Status StreamEngine::ShardEmit::Accept(const std::string& user_key,
 
 Status StreamEngine::ShardEmit::Flush() {
   if (buffer_.empty()) return refused_;
+  const double busy_start = busy_.Start();
   {
     // seq = sessions delivered by this shard before this flush.
     obs::ScopedSpan span(engine_->tracer_, "emit", shard_->index,
@@ -254,21 +278,13 @@ Status StreamEngine::ShardEmit::Flush() {
     span.set_count(buffer_.size());
     engine_->emit_->Deliver(buffer_, shard_->retrying.get());
   }
-  // Latency is observed at delivery against the batch's accept stamp;
-  // the Finish flush runs with the stamp zeroed and is left out.
-  const double stamp =
-      shard_->ingest_to_emit_latency_us.enabled()
-          ? shard_->batch_accept_stamp_us.load(std::memory_order_relaxed)
-          : 0.0;
-  const double latency_us =
-      stamp > 0.0 ? obs::internal::NowMicros() - stamp : 0.0;
+  const double delivered_at = busy_.Stop(busy_start);
   std::uint64_t sessions = 0;
   std::uint64_t records = 0;
   for (EmitHub::Pending& entry : buffer_) {
     if (entry.status.ok()) {
       ++sessions;
       records += entry.records;
-      if (stamp > 0.0) shard_->ingest_to_emit_latency_us.Observe(latency_us);
       continue;
     }
     if (engine_->error_policy_ == ErrorPolicy::kFailFast) {
@@ -287,6 +303,15 @@ Status StreamEngine::ShardEmit::Flush() {
     engine_->Quarantine(*shard_, std::move(letter));
   }
   buffer_.clear();
+  // Every session of the flush was delivered at the same instant, so
+  // one weighted observation against the batch's accept stamp stands
+  // for all of them. The Finish flush runs with the stamp zeroed and is
+  // left out.
+  const double stamp =
+      shard_->batch_accept_stamp_us.load(std::memory_order_relaxed);
+  if (stamp > 0.0) {
+    shard_->ingest_to_emit_latency_us.Observe(delivered_at - stamp, sessions);
+  }
   delivered_sessions_.fetch_add(sessions, std::memory_order_relaxed);
   delivered_records_.fetch_add(records, std::memory_order_relaxed);
   delivered_mirror_.Increment(sessions);
@@ -433,6 +458,7 @@ void StreamEngine::RegisterScrapeProbe() {
                      mining_depth, lag, skew]() mutable {
     std::uint64_t min_watermark = 0;
     std::uint64_t max_watermark = 0;
+    std::uint64_t max_lag = 0;
     for (ShardProbe& probe : shard_probes) {
       const std::uint64_t watermark =
           probe.shard->sessionize->watermark_seconds();
@@ -445,14 +471,20 @@ void StreamEngine::RegisterScrapeProbe() {
         min_watermark = watermark;
       }
       if (watermark > max_watermark) max_watermark = watermark;
+      // Event time, not wall time: how far this shard's watermark trails
+      // the newest event handed to it, so lag means the same on a live
+      // feed and on a replayed old log, and a drained shard reads 0
+      // however early its own users went quiet.
+      const std::uint64_t newest =
+          probe.shard->newest_offered_seconds.load(std::memory_order_relaxed);
+      if (newest > watermark) max_lag = std::max(max_lag, newest - watermark);
     }
     if (mining != nullptr) mining_depth.Set(mining->queued_batches());
-    // Lag is measured against the *slowest* shard (min watermark) so it
-    // never understates how far behind the pipeline is; skew is the
-    // fastest-to-slowest spread. Both undefined until event time exists.
+    // Lag is the worst shard's, so it never understates how far behind
+    // its input the pipeline is; skew is the fastest-to-slowest
+    // watermark spread. Both undefined until event time exists.
     if (min_watermark == 0) return;
-    const std::uint64_t now = obs::internal::NowEpochSeconds();
-    lag.Set(now > min_watermark ? now - min_watermark : 0);
+    lag.Set(max_lag);
     skew.Set(max_watermark - min_watermark);
   };
   scrape_probe_id_ = registry_->AddProbe(refresh_gauges_);
@@ -498,6 +530,7 @@ StreamEngine::StreamEngine(EngineOptions options,
     shard->shed_mirror = obs::CounterIn(registry, prefix + "shed");
     shard->ingest_to_emit_latency_us =
         obs::HistogramIn(registry, prefix + "ingest_to_emit_latency_us");
+    shard->busy_us = obs::CounterIn(registry, prefix + "busy_us");
     if (options.retry_.has_value()) {
       shard->retrying = std::make_unique<RetryingSink>(
           sink, *options.retry_, obs::CounterIn(registry, prefix + "retries"),
@@ -505,12 +538,11 @@ StreamEngine::StreamEngine(EngineOptions options,
     }
     shard->emit = std::make_unique<ShardEmit>(
         this, shard.get(),
-        obs::CounterIn(registry, prefix + "sessions_emitted"));
+        obs::CounterIn(registry, prefix + "sessions_emitted"),
+        obs::CounterIn(registry, prefix + "emit_busy_us"));
     SessionizeMetrics sessionize_metrics;
     sessionize_metrics.skipped_non_page_urls =
         obs::CounterIn(registry, prefix + "skipped_non_page_urls");
-    sessionize_metrics.sessionize_latency_us =
-        obs::HistogramIn(registry, prefix + "sessionize_latency_us");
     sessionize_metrics.tracer = tracer_;
     sessionize_metrics.trace_shard = i;
     shard->sessionize = std::make_unique<SessionizeSink>(
@@ -540,8 +572,7 @@ void StreamEngine::StartWorkers() {
         obs::CounterIn(registry_, prefix + "blocked_enqueues");
     driver_metrics.queue_high_watermark =
         obs::GaugeIn(registry_, prefix + "queue_high_watermark");
-    driver_metrics.drain_latency_us =
-        obs::HistogramIn(registry_, prefix + "drain_latency_us");
+    driver_metrics.busy_us = shard->busy_us;
     driver_metrics.blocked_wait_us =
         obs::CounterIn(registry_, prefix + "blocked_wait_us");
     driver_metrics.tracer = tracer_;
@@ -554,6 +585,11 @@ void StreamEngine::StartWorkers() {
       // barrier sees them at the sink. A kFailFast refusal sticks in the
       // hub and in the ShardEmit; the shard dies on its next session.
       (void)recycle_shard->emit->Flush();
+      // The batch's record counts, published once and before the drained
+      // count, so every barrier reads exact values.
+      recycle_shard->head->Publish();
+      recycle_shard->tail->Publish();
+      recycle_shard->sessionize->PublishCounts();
       // Also the end-of-batch mark for latency stamping: emissions from
       // here on (the next batch not yet started, or the Finish flush)
       // have no meaningful accept time.
@@ -660,6 +696,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   if (staging_.size() < shards_.size()) {
     staging_.resize(shards_.size());
     staging_used_.resize(shards_.size(), 0);
+    staging_newest_.resize(shards_.size(), 0);
   }
   // Refill empty staging slots from the worker's recycle pool: a
   // drained batch's records keep their string capacities, so the
@@ -686,6 +723,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
   for (const LogRecordRef& ref : batch) {
     const std::size_t index = ShardIndexFor(ref);
     tracer_.Instant("partition", shards_[index]->index, seq++);
+    staging_newest_[index] = std::max(staging_newest_[index], ref.timestamp);
     RecordBatch& staged = staging_[index];
     std::size_t& used = staging_used_[index];
     if (used < staged.size()) {
@@ -702,6 +740,8 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     std::size_t& used = staging_used_[shard.index];
     if (used == 0) continue;
     const std::uint64_t count = used;
+    const auto newest = static_cast<std::uint64_t>(
+        std::exchange(staging_newest_[shard.index], 0));
     staged.resize(used);  // drop any stale pool tail before hand-off
     Status status;
     {
@@ -731,6 +771,7 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
         // Staged records of untried shards are dropped with the error.
         for (RecordBatch& pending : staging_) pending.clear();
         for (std::size_t& pending_used : staging_used_) pending_used = 0;
+        for (TimeSeconds& pending_newest : staging_newest_) pending_newest = 0;
         return status;
       }
       // kDegrade: the records were routed to a dead shard — quarantine
@@ -750,6 +791,10 @@ Status StreamEngine::OfferBatch(std::span<const LogRecordRef> batch) {
     }
     shard.offered.fetch_add(count, std::memory_order_relaxed);
     shard.records_in.Increment(count);
+    // Only the producer writes it, so a plain load and store keep the max.
+    if (newest > shard.newest_offered_seconds.load(std::memory_order_relaxed)) {
+      shard.newest_offered_seconds.store(newest, std::memory_order_relaxed);
+    }
     records_seen_ += count;
     staged.clear();  // moved-from by the hand-off; normalize to empty
     used = 0;
@@ -775,7 +820,10 @@ Status StreamEngine::Finish() {
     Status status = shard->driver->Finish();
     // The driver's Finish flush only buffered the shard's last sessions;
     // deliver them before the accounting below reads the counters.
+    obs::BusyTimer busy(shard->busy_us);
+    const double busy_start = busy.Start();
     Status flushed = shard->emit->Flush();
+    busy.Stop(busy_start);
     if (status.ok()) status = std::move(flushed);
     if (!status.ok()) {
       {

@@ -532,6 +532,9 @@ class StreamEngine {
   /// pass reuses (see Shard::recycle).
   std::vector<RecordBatch> staging_;
   std::vector<std::size_t> staging_used_;
+  /// Newest CLF timestamp among the records staged for each shard this
+  /// batch (0 = none).
+  std::vector<TimeSeconds> staging_newest_;
   bool finished_ = false;
   /// The scrape-time gauge refresh and its probe handle from
   /// RegisterScrapeProbe (empty / 0 = none registered).

@@ -89,8 +89,7 @@ SessionizeSink::SessionizeSink(UserSessionizerFactory factory,
   // the user whose id is current at call time, so no per-record closure
   // (and no per-record heap allocation) is needed.
   emit_fn_ = [this](Session session) {
-    sessions_emitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_emitted.Increment();
+    ++pending_emitted_;
     return session_sink_->Accept(interner_.StringOf(current_user_id_),
                                  std::move(session));
   };
@@ -127,22 +126,36 @@ Status SessionizeSink::Accept(const LogRecord& record) {
   }
   user.last_timestamp = record.timestamp;
   user.has_seen_request = true;
-  obs::ScopedTimer timer(metrics_.sessionize_latency_us);
-  obs::ScopedSpan span(metrics_.tracer, "sessionize", metrics_.trace_shard,
-                       records_absorbed_.load(std::memory_order_relaxed));
+  obs::ScopedSpan span(
+      metrics_.tracer, "sessionize", metrics_.trace_shard,
+      records_absorbed_.load(std::memory_order_relaxed) + pending_absorbed_);
   current_user_id_ = user_id;
   WUM_RETURN_NOT_OK(user.sessionizer->OnRequest(
       PageRequest{static_cast<PageId>(*page), record.timestamp}, emit_fn_));
-  records_absorbed_.fetch_add(1, std::memory_order_relaxed);
+  ++pending_absorbed_;
   return Status::OK();
 }
 
 Status SessionizeSink::Finish() {
-  for (std::uint32_t id = 0; id < users_.size(); ++id) {
+  Status status;
+  for (std::uint32_t id = 0; id < users_.size() && status.ok(); ++id) {
     current_user_id_ = id;
-    WUM_RETURN_NOT_OK(users_[id].sessionizer->Flush(emit_fn_));
+    status = users_[id].sessionizer->Flush(emit_fn_);
   }
-  return Status::OK();
+  PublishCounts();
+  return status;
+}
+
+void SessionizeSink::PublishCounts() {
+  if (pending_absorbed_ > 0) {
+    records_absorbed_.fetch_add(pending_absorbed_, std::memory_order_relaxed);
+    pending_absorbed_ = 0;
+  }
+  if (pending_emitted_ > 0) {
+    sessions_emitted_.fetch_add(pending_emitted_, std::memory_order_relaxed);
+    metrics_.sessions_emitted.Increment(pending_emitted_);
+    pending_emitted_ = 0;
+  }
 }
 
 Status SessionizeSink::SerializeState(std::vector<std::string>* frames) const {

@@ -35,9 +35,6 @@ struct SessionizeMetrics {
   obs::Counter sessions_emitted;
   /// Mirrors skipped_non_page_urls() into a registry counter.
   obs::Counter skipped_non_page_urls;
-  /// Wall time one record spends inside the per-user incremental
-  /// sessionizer (OnRequest plus any emissions), in microseconds.
-  obs::Histogram sessionize_latency_us;
   /// Optional span tracer: each absorbed record becomes a "sessionize"
   /// span tagged shard=trace_shard, seq=<records absorbed before it>.
   obs::Tracer tracer;
@@ -113,7 +110,15 @@ class SessionizeSink : public RecordSink {
                  SessionizeMetrics metrics = {});
 
   Status Accept(const LogRecord& record) override;
+  /// Flushes every user's open state, then publishes the counters.
   Status Finish() override;
+
+  /// Publishes the per-record counts accumulated since the last call
+  /// (records absorbed, sessions emitted) to the accessors below and the
+  /// sessions_emitted mirror, with one atomic add each. A sharded engine
+  /// calls it once per drained batch, before the batch counts as
+  /// drained, so its barriers read exact values.
+  void PublishCounts();
 
   /// Checkpoint hook: appends this sink's state as codec frames — one
   /// counters frame, then one frame per user (key, ordering watermark,
@@ -135,7 +140,8 @@ class SessionizeSink : public RecordSink {
 
   /// Counter accessors are safe to call from any thread (the sharded
   /// engine snapshots them while workers run); everything else is
-  /// single-threaded.
+  /// single-threaded. sessions_emitted() and records_absorbed() cover
+  /// what was published by the last PublishCounts or Finish.
   std::uint64_t sessions_emitted() const {
     return sessions_emitted_.load(std::memory_order_relaxed);
   }
@@ -183,6 +189,9 @@ class SessionizeSink : public RecordSink {
   /// before every OnRequest/Flush; emission is synchronous within them.
   IncrementalUserSessionizer::EmitFn emit_fn_;
   std::uint32_t current_user_id_ = 0;
+  // Worker-local counts not yet published (see PublishCounts).
+  std::uint64_t pending_emitted_ = 0;
+  std::uint64_t pending_absorbed_ = 0;
   std::atomic<std::uint64_t> sessions_emitted_{0};
   std::atomic<std::uint64_t> skipped_non_page_urls_{0};
   std::atomic<std::uint64_t> records_absorbed_{0};

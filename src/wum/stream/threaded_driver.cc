@@ -11,6 +11,7 @@ ThreadedDriver::ThreadedDriver(RecordSink* sink, std::size_t queue_capacity,
     : queue_(queue_capacity),
       sink_(sink),
       metrics_(std::move(metrics)),
+      busy_(metrics_.busy_us),
       hooks_(std::move(hooks)),
       worker_([this] { Run(); }) {}
 
@@ -58,6 +59,7 @@ void ThreadedDriver::Run() {
   while (true) {
     std::optional<RecordBatch> batch = queue_.Pop();
     if (!batch.has_value()) return;  // closed and drained
+    const double busy_start = busy_.Start();
     if (hooks_.on_batch_start != nullptr) {
       hooks_.on_batch_start(PopStamp());
     }
@@ -84,7 +86,6 @@ void ThreadedDriver::Run() {
       }
       Status status;
       {
-        obs::ScopedTimer timer(metrics_.drain_latency_us);
         obs::ScopedSpan span(metrics_.tracer, "drain", metrics_.trace_shard,
                              drained_before + handled - 1);
         status = sink_->Accept(record);
@@ -108,6 +109,7 @@ void ThreadedDriver::Run() {
     if (hooks_.on_batch_drained != nullptr) {
       hooks_.on_batch_drained(std::move(*batch));
     }
+    busy_.Stop(busy_start);
     NoteDrained(handled);
   }
 }
@@ -245,7 +247,11 @@ Status ThreadedDriver::Finish() {
     std::lock_guard<std::mutex> lock(status_mutex_);
     if (!first_error_.ok()) return first_error_;
   }
-  return sink_->Finish();
+  // The worker has joined: its busy-time carry is this thread's now.
+  const double busy_start = busy_.Start();
+  Status status = sink_->Finish();
+  busy_.Stop(busy_start);
+  return status;
 }
 
 }  // namespace wum

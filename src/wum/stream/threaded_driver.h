@@ -26,7 +26,7 @@ namespace wum {
 /// Optional observability handles for one driver (see wum/obs/metrics.h).
 /// Default-constructed (disabled) handles make every update a no-op and
 /// keep the clock untouched, so an uninstrumented driver pays only a
-/// couple of predictable branches per record.
+/// couple of predictable branches per batch.
 struct DriverMetrics {
   /// Mirrors blocked_enqueues() into a registry counter.
   obs::Counter blocked_enqueues;
@@ -37,9 +37,10 @@ struct DriverMetrics {
   obs::Counter blocked_wait_us;
   /// Mirrors queue_high_watermark() into a registry gauge.
   obs::Gauge queue_high_watermark;
-  /// Wall time the worker spends draining one record through the sink
-  /// (operators + sessionizer + emission), in microseconds.
-  obs::Histogram drain_latency_us;
+  /// Microseconds the worker spends on drained batches: one clock pair
+  /// per batch around its records and the on_batch_drained hook, plus
+  /// the sink's Finish. Never read per record.
+  obs::Counter busy_us;
   /// Optional span tracer: each drained record becomes a "drain" span
   /// tagged shard=trace_shard, seq=<records drained before it>.
   obs::Tracer tracer;
@@ -175,6 +176,7 @@ class ThreadedDriver {
   SpscQueue<RecordBatch> queue_;
   RecordSink* sink_;
   DriverMetrics metrics_;
+  obs::BusyTimer busy_;  // over metrics_.busy_us; worker, then Finish
   DriverHooks hooks_;
   std::thread worker_;
   mutable std::mutex status_mutex_;

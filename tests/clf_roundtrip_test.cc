@@ -187,6 +187,30 @@ TEST(ClfStreamParserTest, MetricsMirrorStats) {
   EXPECT_EQ(snapshot.CounterOrZero("clf.lines_rejected"), 1u);
 }
 
+TEST(ClfStreamParserTest, MetricsMirrorStatsAfterEveryChunk) {
+  // The mirrors are published once per ParseChunk call; after each call
+  // they equal stats() exactly, blank and rejected lines included.
+  const std::string good = FormatClfLine(SampleRecord());
+  const std::string chunks[] = {good + "\n\ngarbage\n" + good,
+                                "\n" + good + "\nmore garbage"};
+  obs::MetricRegistry registry;
+  ClfParser parser(&registry);
+  std::vector<LogRecordRef> records;
+  for (const std::string& chunk : chunks) {
+    ASSERT_TRUE(parser.ParseChunk(chunk, &records).ok());
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    EXPECT_EQ(snapshot.CounterOrZero("clf.lines_seen"),
+              parser.stats().lines_seen);
+    EXPECT_EQ(snapshot.CounterOrZero("clf.records_parsed"),
+              parser.stats().records_parsed);
+    EXPECT_EQ(snapshot.CounterOrZero("clf.lines_rejected"),
+              parser.stats().lines_rejected);
+  }
+  EXPECT_EQ(parser.stats().lines_seen, 7u);
+  EXPECT_EQ(parser.stats().records_parsed, 3u);
+  EXPECT_EQ(parser.stats().lines_rejected, 2u);
+}
+
 TEST(ClfParserTest, WhitespaceTolerated) {
   Result<LogRecord> parsed = ParseClfLine(
       "  10.1.2.3 - - [02/Jan/2006:15:04:05 +0000] "

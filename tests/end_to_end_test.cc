@@ -164,7 +164,7 @@ TEST(EndToEndTest, MetricsSnapshotRoundTripsThroughFile) {
   EXPECT_NE(written.str().find("engine.shard0.records_in"),
             std::string::npos);
   EXPECT_NE(written.str().find("clf.lines_seen"), std::string::npos);
-  EXPECT_NE(written.str().find("drain_latency_us"), std::string::npos);
+  EXPECT_NE(written.str().find("engine.shard0.busy_us"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -37,6 +37,25 @@ TEST(ExtensionFilterTest, IgnoresQueryString) {
   EXPECT_TRUE(filter.Keep(RecordFor("/page.html?img=x.png")));
 }
 
+TEST(ExtensionFilterTest, SuffixTable) {
+  // The suffix is compared in place, ASCII case folded on the URL side.
+  const struct {
+    const char* url;
+    bool keep;
+  } kCases[] = {
+      {".GIF", false},       // nothing before the extension
+      {"/a.JPG?x=1", false},  // upper case, query string stripped
+      {"/p42.html", true},
+      {"/x.jpeg", false},
+      {"/jpg", true},  // no dot: not an extension
+      {"", true},
+  };
+  ExtensionFilter filter;
+  for (const auto& c : kCases) {
+    EXPECT_EQ(filter.Keep(RecordFor(c.url)), c.keep) << "'" << c.url << "'";
+  }
+}
+
 TEST(ExtensionFilterTest, CustomExtensionList) {
   ExtensionFilter filter({".pdf"});
   EXPECT_FALSE(filter.Keep(RecordFor("/doc.pdf")));

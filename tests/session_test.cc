@@ -28,6 +28,14 @@ TEST(SessionTest, ToStringFormat) {
   EXPECT_EQ(SessionToString(Session{}), "[]");
 }
 
+TEST(SessionTest, GoogletestPrintsValuesNotBytes) {
+  const Session session = MakeSession({1, 2}, {0, 5});
+  EXPECT_EQ(testing::PrintToString(session), "[P1 @0, P2 @5]");
+  EXPECT_EQ(testing::PrintToString(session.requests[1]), "P2 @5");
+  EXPECT_EQ(testing::PrintToString(std::vector<Session>{session}),
+            "{ [P1 @0, P2 @5] }");
+}
+
 TEST(ValidateRequestStreamTest, AcceptsSortedValidStream) {
   Session s = MakeSession({0, 1, 1}, {0, 10, 10});
   EXPECT_TRUE(ValidateRequestStream(s.requests, 5).ok());

@@ -50,9 +50,9 @@ TEST_P(SmartSraPropertyTest, OutputInvariantsOnSimulatedAgents) {
     for (const Session& session : *sessions) {
       ASSERT_FALSE(session.empty());
       EXPECT_TRUE(SatisfiesTopologyRule(session, graph))
-          << SessionToString(session);
+          << testing::PrintToString(session);
       EXPECT_TRUE(SatisfiesTimestampRule(session, thresholds.max_page_stay))
-          << SessionToString(session);
+          << testing::PrintToString(session);
       EXPECT_LE(session.Duration(), thresholds.max_session_duration);
     }
 
@@ -60,7 +60,7 @@ TEST_P(SmartSraPropertyTest, OutputInvariantsOnSimulatedAgents) {
     std::set<std::vector<PageRequest>> unique;
     for (const Session& session : *sessions) {
       EXPECT_TRUE(unique.insert(session.requests).second)
-          << "duplicate: " << SessionToString(session);
+          << "duplicate: " << testing::PrintToString(session);
     }
 
     // (3) Every logged request occurrence appears in some session:

@@ -183,16 +183,6 @@ std::set<std::vector<PageRequest>> AsSet(const std::vector<Session>& sessions) {
   return result;
 }
 
-std::string Describe(const std::set<std::vector<PageRequest>>& sessions) {
-  std::string out;
-  for (const auto& requests : sessions) {
-    Session session;
-    session.requests = requests;
-    out += "  " + SessionToString(session) + "\n";
-  }
-  return out;
-}
-
 void ExpectContainedInReference(const WebGraph& graph,
                                 const Session& candidate,
                                 bool expect_equality = false) {
@@ -208,10 +198,9 @@ void ExpectContainedInReference(const WebGraph& graph,
   // (1) Every emitted session is a maximal anchored rule-satisfying path.
   for (const auto& session : actual_set) {
     EXPECT_TRUE(reference.contains(session))
-        << "not a maximal anchored path: "
-        << SessionToString(Session{session}) << "\ncandidate: "
-        << SessionToString(candidate) << "\nreference:\n"
-        << Describe(reference);
+        << "not a maximal anchored path: " << testing::PrintToString(session)
+        << "\ncandidate: " << testing::PrintToString(candidate)
+        << "\nreference: " << testing::PrintToString(reference);
   }
   // (2) Every occurrence of the candidate is covered by some session.
   std::set<PageRequest> covered;
@@ -220,13 +209,11 @@ void ExpectContainedInReference(const WebGraph& graph,
   }
   for (const PageRequest& request : candidate.requests) {
     EXPECT_TRUE(covered.contains(request))
-        << "lost occurrence P" << request.page << " @" << request.timestamp;
+        << "lost occurrence " << testing::PrintToString(request);
   }
   if (expect_equality) {
     EXPECT_EQ(actual_set, reference)
-        << "candidate: " << SessionToString(candidate) << "\nexpected:\n"
-        << Describe(reference) << "actual:\n"
-        << Describe(actual_set);
+        << "candidate: " << testing::PrintToString(candidate);
   }
 }
 
@@ -372,14 +359,15 @@ TEST(SmartSraReferenceTest, MatchesRoundByRoundConstructionExactly) {
       const Result<std::vector<Session>> actual =
           SmartSra(&graph, options).Phase2(candidate);
       ASSERT_EQ(actual.status(), expected.status())
-          << "trial " << trial << " candidate: " << SessionToString(candidate);
+          << "trial " << trial
+          << " candidate: " << testing::PrintToString(candidate);
       if (!expected.ok()) {
         ++refused;
         continue;
       }
       ASSERT_EQ(*actual, *expected)
           << "trial " << trial << " deduplicate=" << deduplicate
-          << " candidate: " << SessionToString(candidate);
+          << " candidate: " << testing::PrintToString(candidate);
     }
   }
   // The sample must reach both the cap and the tie rules.

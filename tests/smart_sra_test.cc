@@ -85,10 +85,10 @@ TEST(SmartSraTest, OutputSatisfiesBothRules) {
   ASSERT_TRUE(sessions.ok());
   for (const Session& session : *sessions) {
     EXPECT_TRUE(SatisfiesTopologyRule(session, graph))
-        << SessionToString(session);
+        << testing::PrintToString(session);
     EXPECT_TRUE(SatisfiesTimestampRule(
         session, heuristic.options().thresholds.max_page_stay))
-        << SessionToString(session);
+        << testing::PrintToString(session);
   }
 }
 

@@ -10,12 +10,16 @@
 #      wum::mine tap and the HTTP observability port on. While they
 #      stream, /metrics must lint as Prometheus exposition, /healthz must
 #      answer and /statusz must be the fixed-schema JSON document; after
-#      them websra_top --once must see every shard busy.
+#      them websra_top --once must see every shard busy (busy_us > 0,
+#      its emit part no larger).
 #   3. CHECKPOINT through the admin socket, kill -9, restart --resume and
 #      replay every producer from byte zero: the HELLO handshake hands
 #      back skip offsets, PATTERNS answers with JSON (the miner frames rode
 #      the checkpoint), QUIESCE drains, and the served session file must
-#      equal the baseline byte for byte.
+#      equal the baseline byte for byte. The final metrics snapshot must
+#      report an event-time watermark lag under an hour: it is measured
+#      against the newest record each shard was handed, not the wall
+#      clock, so a replayed 2006-dated log does not read as years late.
 #
 # Exact PATTERNS byte-equality across the kill is tests/smoke/mining.sh's
 # job: it needs one shard and sequential producers.
@@ -101,6 +105,7 @@ assert len(shards) == threads, top
 assert sum(s["records_in"] for s in shards) > 0, top
 assert any(s["watermark_seconds"] > 0 for s in shards), top
 assert any(s["p99_ingest_to_emit_us"] > 0 for s in shards), top
+assert all(0 < s["emit_busy_us"] <= s["busy_us"] for s in shards), top
 assert top["watermark_lag_seconds"] >= 0, top
 prom = open(f"{dir}/metrics.prom").read()
 assert "wum_engine_shard0_ingest_to_emit_latency_us_bucket" in prom
@@ -123,6 +128,17 @@ admin_cmd PATTERNS | grep -q '^{.k.:10,'
 admin_cmd QUIESCE | grep -q 'OK sessions='
 wait "$pid"
 grep -q 'resumed from checkpoint' "$dir/serve.run2.out"
+python3 - "$dir/metrics.run2.jsonl" <<'PY'
+import json
+import sys
+
+final = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+gauges = final["metrics"]["gauges"]
+lag = gauges["engine.watermark_lag_seconds"]
+assert gauges["engine.shard0.watermark_seconds"] > 0, gauges
+assert 0 <= lag < 3600, f"watermark lag {lag} s after QUIESCE"
+print("lag after QUIESCE:", lag, "s")
+PY
 
 cmp "$dir/base.sessions" "$dir/serve.sessions"
 echo "serve output matches the single-process baseline:" \

@@ -259,6 +259,41 @@ TEST(StreamEngineCreateTest, UseHeuristicResolvesThroughRegistry) {
   EXPECT_NE(unknown.message().find("smart-sra"), std::string::npos);
 }
 
+// Every engine.shard<k>.* mirror equals the EngineStats field it
+// mirrors, exactly (the shard publishes its counts once per batch, before
+// the batch counts as drained).
+void ExpectMirrorsMatchStats(const obs::MetricRegistry& registry,
+                             const StreamEngine& engine) {
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  const std::vector<EngineStats> shards = engine.ShardStats();
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const std::string prefix = "engine.shard" + std::to_string(i) + ".";
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_in"),
+              shards[i].records_in)
+        << prefix;
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "sessions_emitted"),
+              shards[i].sessions_emitted)
+        << prefix;
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_processed") -
+                  snapshot.CounterOrZero(prefix + "records_delivered") +
+                  snapshot.CounterOrZero(prefix + "skipped_non_page_urls"),
+              shards[i].records_dropped)
+        << prefix;
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "dead_letter"),
+              shards[i].dead_letters)
+        << prefix;
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "shed"), shards[i].records_shed)
+        << prefix;
+    EXPECT_EQ(snapshot.CounterOrZero(prefix + "blocked_enqueues"),
+              shards[i].blocked_enqueues)
+        << prefix;
+    const obs::MetricsSnapshot::GaugeValue* watermark =
+        snapshot.FindGauge(prefix + "queue_high_watermark");
+    ASSERT_NE(watermark, nullptr) << prefix;
+    EXPECT_EQ(watermark->value, shards[i].queue_high_watermark) << prefix;
+  }
+}
+
 // With a registry attached, the per-shard obs metrics must agree exactly
 // with the legacy EngineStats snapshots — they count the same events.
 TEST(StreamEngineTest, MetricsMatchEngineStats) {
@@ -287,32 +322,17 @@ TEST(StreamEngineTest, MetricsMatchEngineStats) {
   }
   ASSERT_TRUE((*engine)->Finish().ok());
 
+  ExpectMirrorsMatchStats(registry, **engine);
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   const std::vector<EngineStats> shards = (*engine)->ShardStats();
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::string prefix = "engine.shard" + std::to_string(i) + ".";
-    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_in"),
-              shards[i].records_in);
-    EXPECT_EQ(snapshot.CounterOrZero(prefix + "sessions_emitted"),
-              shards[i].sessions_emitted);
-    EXPECT_EQ(snapshot.CounterOrZero(prefix + "blocked_enqueues"),
-              shards[i].blocked_enqueues);
-    const obs::MetricsSnapshot::GaugeValue* watermark =
-        snapshot.FindGauge(prefix + "queue_high_watermark");
-    ASSERT_NE(watermark, nullptr);
-    EXPECT_EQ(watermark->value, shards[i].queue_high_watermark);
-    // records_dropped is derived the same way EngineStats derives it.
-    EXPECT_EQ(snapshot.CounterOrZero(prefix + "records_processed") -
-                  snapshot.CounterOrZero(prefix + "records_delivered") +
-                  snapshot.CounterOrZero(prefix + "skipped_non_page_urls"),
-              shards[i].records_dropped);
-    // The drain timer saw every processed record; the sessionize timer
-    // every record that reached the sessionizer as a page request.
-    const obs::MetricsSnapshot::HistogramValue* drain =
-        snapshot.FindHistogram(prefix + "drain_latency_us");
-    ASSERT_NE(drain, nullptr);
-    EXPECT_EQ(drain->count,
-              snapshot.CounterOrZero(prefix + "records_processed"));
+    // Every shard drained batches, and its emit flushes are part of
+    // that busy time.
+    EXPECT_GT(snapshot.CounterOrZero(prefix + "busy_us"), 0u) << prefix;
+    EXPECT_LE(snapshot.CounterOrZero(prefix + "emit_busy_us"),
+              snapshot.CounterOrZero(prefix + "busy_us"))
+        << prefix;
   }
   const EngineStats total = (*engine)->TotalStats();
   std::uint64_t records_in_total = 0;
@@ -323,6 +343,70 @@ TEST(StreamEngineTest, MetricsMatchEngineStats) {
   EXPECT_EQ(records_in_total, total.records_in);
   EXPECT_EQ(total.records_in, 17u * 7u);
   EXPECT_EQ(total.records_dropped, 17u * 2u);
+}
+
+// Three users' records from `base` on, with an out-of-topology page
+// (the sessionizer refuses it) in the middle of one OfferBatch.
+std::vector<LogRecord> BatchWithFailingRecord(TimeSeconds base) {
+  std::vector<LogRecord> records;
+  for (int r = 0; r < 4; ++r) {
+    for (int u = 0; u < 3; ++u) {
+      records.push_back(PageRecord("10.9.0." + std::to_string(u), r % 2,
+                                   base + r * 4000 + u));
+    }
+  }
+  records.insert(records.begin() + 6,
+                 PageRecord("10.9.0.1", 77, base + 8000));
+  return records;
+}
+
+Status OfferAll(StreamEngine* engine, const std::vector<LogRecord>& records) {
+  std::vector<LogRecordRef> refs;
+  for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+  return engine->OfferBatch(refs);
+}
+
+TEST(StreamEngineTest, MirrorsExactAtQuiesceAndFinishUnderDegrade) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  obs::MetricRegistry registry;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(2)
+          .set_metrics(&registry)
+          .set_error_policy(ErrorPolicy::kDegrade)
+          .use_smart_sra(&graph),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(OfferAll(engine->get(), BatchWithFailingRecord(0)).ok());
+  ASSERT_TRUE((*engine)->Quiesce().ok());
+  EXPECT_EQ((*engine)->TotalStats().dead_letters, 1u);
+  EXPECT_GT((*engine)->TotalStats().sessions_emitted, 0u);
+  ExpectMirrorsMatchStats(registry, **engine);
+  ASSERT_TRUE(OfferAll(engine->get(), BatchWithFailingRecord(20000)).ok());
+  ASSERT_TRUE((*engine)->Finish().ok());
+  ExpectMirrorsMatchStats(registry, **engine);
+  EXPECT_EQ((*engine)->TotalStats().dead_letters, 2u);
+}
+
+TEST(StreamEngineTest, MirrorsExactAfterFinishWhenARecordKillsTheShard) {
+  WebGraph graph = MakeFigure1Topology();
+  CollectingSessionSink sessions;
+  obs::MetricRegistry registry;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions().set_num_shards(1).set_metrics(&registry).use_smart_sra(
+          &graph),
+      &sessions);
+  ASSERT_TRUE(engine.ok());
+  // kFailFast: the refused record ends the shard mid-batch; the rest of
+  // the batch is discarded, and the counts of the records before it are
+  // still published with the batch.
+  ASSERT_TRUE(OfferAll(engine->get(), BatchWithFailingRecord(0)).ok());
+  EXPECT_TRUE((*engine)->Finish().IsInvalidArgument());
+  ExpectMirrorsMatchStats(registry, **engine);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterOrZero("engine.shard0.records_processed"), 7u);
+  EXPECT_EQ(snapshot.CounterOrZero("engine.shard0.records_delivered"), 7u);
 }
 
 // Without set_metrics the engine registers nothing anywhere and the

@@ -1,9 +1,9 @@
-// Pipeline lag instrumentation under injected clocks: per-shard
+// Pipeline lag instrumentation under an injected clock: per-shard
 // event-time watermarks (and the derived lag/skew gauges computed at
 // scrape time), the ingest-to-emit latency histogram fed by batch
-// accept stamps, the zero-cost guarantee that an uninstrumented engine
-// never reads the clock, and watermark survival across checkpoint +
-// resume.
+// accept stamps, clock reads per batch rather than per record (none at
+// all for an uninstrumented engine), and watermark survival across
+// checkpoint + resume.
 
 #include <gtest/gtest.h>
 
@@ -23,13 +23,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Injected clocks. SetClockForTesting takes a plain function pointer,
-// so the state lives in file-scope atomics. Every NowMicros() call
-// advances the monotonic clock by 100us; the epoch clock is a settable
-// constant "wall time".
+// Injected clock. SetClockForTesting takes a plain function pointer,
+// so the state lives in file-scope atomics. Every NowMicros() call is
+// counted and advances the monotonic clock by 100us.
 std::atomic<std::uint64_t> g_micros{1'000'000};
 std::atomic<std::uint64_t> g_micros_calls{0};
-std::atomic<std::uint64_t> g_epoch_seconds{1'300'000'000};
 
 double TestMicros() {
   g_micros_calls.fetch_add(1, std::memory_order_relaxed);
@@ -37,21 +35,10 @@ double TestMicros() {
       g_micros.fetch_add(100, std::memory_order_relaxed));
 }
 
-std::uint64_t TestEpochSeconds() {
-  return g_epoch_seconds.load(std::memory_order_relaxed);
-}
-
 class StreamLatencyTest : public testing::Test {
  protected:
-  void SetUp() override {
-    obs::internal::SetClockForTesting(&TestMicros);
-    obs::internal::SetEpochClockForTesting(&TestEpochSeconds);
-    g_epoch_seconds.store(1'300'000'000, std::memory_order_relaxed);
-  }
-  void TearDown() override {
-    obs::internal::SetClockForTesting(nullptr);
-    obs::internal::SetEpochClockForTesting(nullptr);
-  }
+  void SetUp() override { obs::internal::SetClockForTesting(&TestMicros); }
+  void TearDown() override { obs::internal::SetClockForTesting(nullptr); }
 };
 
 LogRecord PageRecord(const std::string& ip, std::uint32_t page,
@@ -120,20 +107,45 @@ TEST_F(StreamLatencyTest, WatermarkGaugesTrackShardMaximaLagAndSkew) {
                                        ".queue_depth"),
               0u);
   }
-  const std::uint64_t now = g_epoch_seconds.load();
-  ASSERT_GT(now, max_watermark);  // replaying a historical log
-  EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_lag_seconds"),
-            now - min_nonzero);
+  // Lag is event time: how far a shard's watermark trails the newest
+  // record handed to it. Drained shards trail by nothing, even though
+  // their watermarks differ and this input is 2008-dated (a wall clock
+  // would report years).
+  ASSERT_GT(max_watermark, min_nonzero);
+  EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_lag_seconds"), 0u);
   EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_skew_seconds"),
             max_watermark - min_nonzero);
+}
 
-  // A wall clock *behind* event time (clock skew, synthetic logs from
-  // the future) clamps lag to zero instead of underflowing.
-  g_epoch_seconds.store(kBase, std::memory_order_relaxed);
-  const obs::MetricsSnapshot clamped = registry.Snapshot();
-  EXPECT_EQ(GaugeValue(clamped, "engine.watermark_lag_seconds"), 0u);
-  EXPECT_EQ(GaugeValue(clamped, "engine.watermark_skew_seconds"),
-            max_watermark - min_nonzero);
+TEST_F(StreamLatencyTest, LagCountsOfferedEventsNoShardHasAbsorbed) {
+  WebGraph graph = MakeFigure1Topology();
+  obs::MetricRegistry registry;
+  CollectingSessionSink sink;
+  constexpr TimeSeconds kBase = 1'200'000'000;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .use_smart_sra(&graph)
+          .add_standard_filters()
+          .set_metrics(&registry),
+      &sink);
+  ASSERT_TRUE(engine.ok()) << engine.status().message();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        (*engine)->Offer(PageRecord("10.5.0.1", i % 2, kBase + i)).ok());
+  }
+  // Offered but filtered before the sessionizer: event time moved on,
+  // the shard watermark did not.
+  LogRecord image = PageRecord("10.5.0.1", 0, kBase + 900);
+  image.url = "/logo.GIF";
+  ASSERT_TRUE((*engine)->Offer(image).ok());
+  ASSERT_TRUE((*engine)->Quiesce().ok());
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(GaugeValue(snapshot, "engine.shard0.watermark_seconds"),
+            static_cast<std::uint64_t>(kBase + 3));
+  EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_lag_seconds"), 897u);
+  EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_skew_seconds"), 0u);
+  ASSERT_TRUE((*engine)->Finish().ok());
 }
 
 TEST_F(StreamLatencyTest, SnapshotAfterFinishAndTeardownKeepsWatermarks) {
@@ -191,8 +203,7 @@ TEST_F(StreamLatencyTest, WatermarkZeroBeforeFirstRecordKeepsLagUnset) {
       &sink);
   ASSERT_TRUE(engine.ok());
   // No records absorbed anywhere: per-shard watermarks are 0 and the
-  // probe must not fabricate a lag against watermark 0 (which would be
-  // ~55 years).
+  // probe must not fabricate a lag against watermark 0.
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(GaugeValue(snapshot, "engine.shard0.watermark_seconds"), 0u);
   EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_lag_seconds"), 0u);
@@ -226,6 +237,10 @@ TEST_F(StreamLatencyTest, IngestToEmitLatencyObservedForStreamingEmissions) {
                       .ok());
     }
   }
+  // Everything delivered by the Quiesce barrier left in a batch flush,
+  // stamped; the Finish flush that follows is not.
+  ASSERT_TRUE((*engine)->Quiesce().ok());
+  const std::uint64_t stamped = (*engine)->TotalStats().sessions_emitted;
   ASSERT_TRUE((*engine)->Finish().ok());
   const std::uint64_t sessions = (*engine)->TotalStats().sessions_emitted;
   ASSERT_GE(sessions, 2u);
@@ -237,6 +252,10 @@ TEST_F(StreamLatencyTest, IngestToEmitLatencyObservedForStreamingEmissions) {
   EXPECT_GE(latency->count, 1u);
   // Only streaming emissions observe; Finish-flush sessions must not.
   EXPECT_LT(latency->count, sessions);
+  std::uint64_t bucketed = 0;
+  for (const std::uint64_t count : latency->counts) bucketed += count;
+  EXPECT_EQ(bucketed, latency->count);
+  EXPECT_EQ(latency->count, stamped);
   // The injected clock advances 100us per read, so every latency is a
   // positive multiple of it: accept stamps really precede emission.
   EXPECT_GE(latency->min, 100.0);
@@ -265,6 +284,63 @@ TEST_F(StreamLatencyTest, UninstrumentedEngineNeverReadsTheClock) {
   // run without a single clock read (the "disabled handles" contract
   // that makes telemetry free when switched off).
   EXPECT_EQ(g_micros_calls.load(std::memory_order_relaxed), calls_before);
+}
+
+// Clock reads an instrumented one-shard engine makes while `batches`
+// OfferBatch calls of `per_batch` records each go through, plus Finish.
+// Eight users take turns; `*sessions` receives the sessions delivered.
+std::uint64_t ClockReadsFor(std::size_t batches, std::size_t per_batch,
+                            std::uint64_t* sessions) {
+  WebGraph graph = MakeFigure1Topology();
+  obs::MetricRegistry registry;
+  CollectingSessionSink sink;
+  constexpr TimeSeconds kBase = 1'200'000'000;
+  Result<std::unique_ptr<StreamEngine>> engine = StreamEngine::Create(
+      EngineOptions()
+          .set_num_shards(1)
+          .set_queue_capacity(batches * per_batch)  // never blocks
+          .use_smart_sra(&graph)
+          .set_metrics(&registry),
+      &sink);
+  EXPECT_TRUE(engine.ok());
+  if (!engine.ok()) return 0;
+  const std::uint64_t before = g_micros_calls.load(std::memory_order_relaxed);
+  std::size_t n = 0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    std::vector<LogRecord> records;
+    for (std::size_t i = 0; i < per_batch; ++i, ++n) {
+      records.push_back(PageRecord("10.6.0." + std::to_string(n % 8),
+                                   static_cast<std::uint32_t>(n / 8 % 5),
+                                   kBase + static_cast<TimeSeconds>(n) * 40));
+    }
+    std::vector<LogRecordRef> refs;
+    for (const LogRecord& record : records) refs.push_back(ViewOf(record));
+    EXPECT_TRUE((*engine)->OfferBatch(refs).ok());
+  }
+  EXPECT_TRUE((*engine)->Finish().ok());
+  *sessions = (*engine)->TotalStats().sessions_emitted;
+  return g_micros_calls.load(std::memory_order_relaxed) - before;
+}
+
+TEST_F(StreamLatencyTest, InstrumentedEngineReadsTheClockPerBatchNotPerRecord) {
+  constexpr std::size_t kBatches = 6;
+  std::uint64_t few_sessions = 0;
+  std::uint64_t many_sessions = 0;
+  const std::uint64_t few = ClockReadsFor(kBatches, 10, &few_sessions);
+  const std::uint64_t many = ClockReadsFor(kBatches, 1000, &many_sessions);
+  ASSERT_GT(many_sessions, few_sessions);
+  // Per batch: the accept stamp, the driver's busy pair and the emit
+  // flush's pair; Finish adds a few. A flush also happens every
+  // kFlushSessions sessions, so those are allowed for.
+  constexpr std::uint64_t kReadsPerFlushOrBatch = 6;
+  const auto bound = [](std::uint64_t sessions) {
+    return kReadsPerFlushOrBatch * (kBatches + 2 + sessions / 256);
+  };
+  EXPECT_LE(few, bound(few_sessions));
+  EXPECT_LE(many, bound(many_sessions));
+  // 100x the records, not 100x the reads.
+  EXPECT_LE(many, few + 2 * (many_sessions / 256 + 1));
+  EXPECT_LT(many, kBatches * 1000 / 10);
 }
 
 TEST_F(StreamLatencyTest, WatermarkSurvivesCheckpointAndResume) {
@@ -320,6 +396,8 @@ TEST_F(StreamLatencyTest, WatermarkSurvivesCheckpointAndResume) {
                                        ".watermark_seconds"),
               saved[k]);
   }
+  // Nothing offered since the restart, so no shard trails its input.
+  EXPECT_EQ(GaugeValue(snapshot, "engine.watermark_lag_seconds"), 0u);
   ASSERT_TRUE((*resumed)->Finish().ok());
   fs::remove_all(dir);
 }

@@ -2,7 +2,8 @@
 // of a running websra daemon. Polls GET /metrics (Prometheus text) from
 // `websra_serve --http-port`, or reads the same exposition from a
 // snapshot file, and renders per-shard
-// throughput, ingest->emit latency, watermark lag and queue depths.
+// throughput, busy time, ingest->emit latency, watermark lag and queue
+// depths.
 //
 // `--once --format json` emits one deterministic machine-readable
 // snapshot (fixed key order) for CI assertions; `--lint FILE` runs the
@@ -39,10 +40,11 @@ std::string Usage() {
          "\n"
          "Polls the /metrics endpoint a websra daemon exposes with\n"
          "--http-port (see docs/observability.md) and renders a\n"
-         "refreshing dashboard: per-shard records/sec, p99 ingest->emit\n"
-         "latency, event-time watermarks and lag, queue depths, dead\n"
-         "letters, connection and mining stats. Rates come from\n"
-         "successive polls, so the first frame shows '-'.\n"
+         "refreshing dashboard: per-shard records/sec, busy %, p99\n"
+         "ingest->emit latency, event-time watermarks and lag, queue\n"
+         "depths, dead letters, connection and mining stats. Rates come\n"
+         "from successive polls, so the first frame shows '-'; busy %\n"
+         "in the first (or --once) frame covers the process lifetime.\n"
          "\n"
          "--file renders one frame from exposition text on disk (a\n"
          "scrape saved with curl, or a snapshot) instead of polling.\n"
@@ -171,6 +173,23 @@ std::string FormatRate(const std::optional<double>& rate) {
   return rate.has_value() ? wum::FormatDouble(*rate, 1) : "-";
 }
 
+/// Percent of the interval between two polls that a shard spent busy,
+/// from the Δ of a microsecond busy-time counter (busy_us, or its
+/// emit_busy_us part). Without a prior frame the interval is the
+/// process lifetime (obs uptime), over which the counter grew from 0.
+/// nullopt when the interval is unknown.
+std::optional<double> BusyPercent(const Frame& now, const Frame* prev,
+                                  const std::string& name) {
+  double seconds = Sample(now, "wum_obs_uptime_seconds");
+  double delta_us = Sample(now, name);
+  if (prev != nullptr) {
+    seconds = std::chrono::duration<double>(now.at - prev->at).count();
+    delta_us -= Sample(*prev, name);
+  }
+  if (seconds <= 0.0) return std::nullopt;
+  return delta_us < 0.0 ? 0.0 : delta_us / (seconds * 1e4);
+}
+
 void RenderText(const Frame& frame, const Frame* prev, bool clear_screen,
                 std::ostream* out) {
   if (clear_screen) *out << "\x1b[2J\x1b[H";
@@ -185,8 +204,9 @@ void RenderText(const Frame& frame, const Frame* prev, bool clear_screen,
        << Sample(frame, "wum_engine_watermark_skew_seconds") << "s\n";
 
   const std::size_t shards = CountShards(frame);
-  wum::Table table({"shard", "records", "rec/s", "sessions", "p99 lat us",
-                    "watermark", "queue", "dead", "shed"});
+  wum::Table table({"shard", "records", "rec/s", "busy %", "emit %",
+                    "sessions", "p99 lat us", "watermark", "queue", "dead",
+                    "shed"});
   for (std::size_t i = 0; i < shards; ++i) {
     table.AddRow(
         {std::to_string(i),
@@ -194,6 +214,8 @@ void RenderText(const Frame& frame, const Frame* prev, bool clear_screen,
              static_cast<std::uint64_t>(Sample(frame,
                                                ShardMetric(i, "records_in")))),
          FormatRate(Rate(frame, prev, ShardMetric(i, "records_in"))),
+         FormatRate(BusyPercent(frame, prev, ShardMetric(i, "busy_us"))),
+         FormatRate(BusyPercent(frame, prev, ShardMetric(i, "emit_busy_us"))),
          std::to_string(static_cast<std::uint64_t>(
              Sample(frame, ShardMetric(i, "sessions_emitted")))),
          wum::FormatDouble(
@@ -227,7 +249,8 @@ void RenderText(const Frame& frame, const Frame* prev, bool clear_screen,
 }
 
 /// The --format json frame: one object, fixed key order, numbers only
-/// (no timing-dependent rates), so CI can assert on stable structure.
+/// (no poll-to-poll rates; busy % covers the process lifetime, 0 while
+/// uptime is), so CI can assert on stable structure.
 void RenderJson(const Frame& frame, std::ostream* out) {
   std::ostringstream json;
   json << "{\"build\":{";
@@ -249,6 +272,13 @@ void RenderJson(const Frame& frame, std::ostream* out) {
     if (i > 0) json << ",";
     json << "{\"index\":" << i << ",\"records_in\":"
          << Sample(frame, ShardMetric(i, "records_in"))
+         << ",\"busy_us\":" << Sample(frame, ShardMetric(i, "busy_us"))
+         << ",\"emit_busy_us\":"
+         << Sample(frame, ShardMetric(i, "emit_busy_us")) << ",\"busy_pct\":"
+         << BusyPercent(frame, nullptr, ShardMetric(i, "busy_us")).value_or(0)
+         << ",\"emit_busy_pct\":"
+         << BusyPercent(frame, nullptr, ShardMetric(i, "emit_busy_us"))
+                .value_or(0)
          << ",\"sessions_emitted\":"
          << Sample(frame, ShardMetric(i, "sessions_emitted"))
          << ",\"p99_ingest_to_emit_us\":"
